@@ -113,8 +113,8 @@ void Run() {
 
   // Throughput: serial Noop round trips parent -> child over the UDS frame
   // path, against the same call shape served in-process by the epoll
-  // runtime over loopback TCP. The gap is the documented price of crossing
-  // an address-space boundary per call.
+  // runtime, whose host listener is a Unix-domain socket too. The gap is the
+  // documented price of crossing an address-space boundary per call.
   constexpr std::int64_t kCalls = 2000;
   rt::Messenger client(runtime, host, "bench-client",
                        rt::ExecutionMode::kDriver, nullptr);
@@ -156,7 +156,7 @@ void Run() {
                         {"path", "calls", "calls_per_s"});
   call_table.row({"process (parent<->child, UDS)", sim::Table::num(kCalls),
                   sim::Table::num(uds_calls_per_s)});
-  call_table.row({"epoll (in-process, loopback TCP)", sim::Table::num(kCalls),
+  call_table.row({"epoll (in-process, UDS)", sim::Table::num(kCalls),
                   sim::Table::num(epoll_calls_per_s)});
   call_table.print();
 

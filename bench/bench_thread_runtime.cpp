@@ -96,17 +96,17 @@ void Run() {
                                kCallsPerThread),
                sim::Table::num(throughput, 0)});
   }
-  // The socket-backed series: epoll's M:N pool vs TCP's
-  // thread-per-connection, both over the pooled persistent-connection
-  // transport and the same 49-byte frame codec; then the per-message
-  // ablation keeps the historical connect-per-frame cost visible (fewer
-  // iterations: every hop dials two real sockets).
+  // The socket-backed series: epoll's M:N pool over Unix-domain sockets vs
+  // TCP's thread-per-connection over loopback, both through the pooled
+  // persistent-connection transport and the same 49-byte frame codec; then
+  // the per-message ablation keeps the historical connect-per-frame cost
+  // visible (fewer iterations: every hop dials two real sockets).
   constexpr int kTcpCalls = 1000;
   constexpr int kTcpAblationCalls = 300;
   for (const int threads : {1, 2, 4, 8}) {
     rt::EpollRuntime runtime;
     const double throughput = RunOnce(runtime, threads, kTcpCalls);
-    table.row({"epoll (M:N pool)",
+    table.row({"epoll (M:N pool, UDS)",
                sim::Table::num(static_cast<std::int64_t>(threads)),
                sim::Table::num(static_cast<std::int64_t>(threads) * kTcpCalls),
                sim::Table::num(throughput, 0)});

@@ -14,9 +14,9 @@
 //
 // How a destination becomes a socket is the transport's business: the pool
 // keys connections by an opaque 64-bit id and dials through an injected
-// `Dialer`. The TCP runtimes key by listener port and dial loopback; the
-// process runtime keys by endpoint id and dials the endpoint's Unix-domain
-// socket path.
+// `Dialer`. TcpRuntime keys by listener port and dials loopback; the
+// Unix-domain runtimes dial `<dir>/ep-<key>.sock`, keyed by destination host
+// id (EpollRuntime: one listener per host) or endpoint id (ProcessRuntime).
 #pragma once
 
 #include <sys/socket.h>
@@ -60,11 +60,10 @@ class ConnPool {
   // exhaustion kUnavailable).
   using Dialer = std::function<Result<int>(std::uint64_t key)>;
 
-  // The classic TCP transport dialer: key = loopback port.
+  // The TCP transport dialer: key = loopback port.
   static Dialer LoopbackDialer();
-  // UDS dialer for the process transport: key = endpoint id, path =
-  // `<dir>/ep-<key>.sock`. ENOENT/ECONNREFUSED — the socket file is gone or
-  // orphaned — is the physical stale binding.
+  // UDS dialer: path = `<dir>/ep-<key>.sock`. ENOENT/ECONNREFUSED — the
+  // socket file is gone or orphaned — is the physical stale binding.
   static Dialer UnixDialer(std::string socket_dir);
   // The Unix-domain socket path UnixDialer(dir) connects to for `key`.
   static std::string UnixSocketPath(const std::string& socket_dir,

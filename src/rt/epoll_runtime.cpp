@@ -1,7 +1,5 @@
 #include "rt/epoll_runtime.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -10,7 +8,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
-#include <unordered_set>
 
 #include "rt/frame.hpp"
 #include "rt/socket_util.hpp"
@@ -170,17 +167,15 @@ EndpointId EpollRuntime::create_endpoint(HostId host, std::string label,
   // that is the whole 1M-objects-per-box argument.
   {
     base::MutexLock lock(listeners_mutex_);
-    auto it = listener_ports_.find(host.value);
-    if (it != listener_ports_.end()) {
-      ep->host_port = it->second;
-    } else {
-      const ListenerSocket listener =
-          CreateLoopbackListener(0, options_.tcp.listen_backlog);
-      if (listener.fd < 0) return EndpointId{};
-      SetNonBlocking(listener.fd);
-      listener_ports_.emplace(host.value, listener.port);
-      ep->host_port = listener.port;
-      post_control({ControlOp::Kind::kAddListener, listener.fd});
+    if (!listening_hosts_.contains(host.value)) {
+      if (socket_dir_.path().empty()) return EndpointId{};  // mkdtemp failed
+      const int fd = CreateUnixListener(
+          ConnPool::UnixSocketPath(socket_dir_.path(), host.value),
+          options_.tcp.listen_backlog);
+      if (fd < 0) return EndpointId{};
+      SetNonBlocking(fd);
+      listening_hosts_.insert(host.value);
+      post_control({ControlOp::Kind::kAddListener, fd});
     }
   }
 
@@ -231,9 +226,10 @@ HostId EpollRuntime::host_of(EndpointId id) const {
   return ep ? ep->host : HostId{};
 }
 
-std::uint16_t EpollRuntime::port_of(EndpointId id) const {
+std::string EpollRuntime::listener_path(EndpointId id) const {
   EndpointPtr ep = find(id);
-  return ep ? ep->host_port : 0;
+  return ep ? ConnPool::UnixSocketPath(socket_dir_.path(), ep->host.value)
+            : std::string{};
 }
 
 EpollRuntime::EndpointPtr EpollRuntime::find(EndpointId id) const {
@@ -263,7 +259,7 @@ Status EpollRuntime::post(Envelope env) {
     }
   }
 
-  Status st = pool_.send(dst->host_port, env);
+  Status st = pool_.send(dst->host.value, env);
   if (!st.ok()) return st;
 
   {
@@ -277,28 +273,49 @@ Status EpollRuntime::post(Envelope env) {
 }
 
 // Reactor -> mailbox handoff: stamp, count, and schedule if the mailbox was
-// idle. Frames racing an endpoint close are dropped, exactly as a dead
-// TcpRuntime reader would lose them.
+// idle.
 void EpollRuntime::enqueue(Envelope env) {
   EndpointPtr ep = find(env.dst);
-  if (!ep || !ep->alive.load()) return;
+  bool accepted = false;
   bool sched = false;
-  {
+  if (ep && ep->alive.load()) {
     base::MutexLock lock(ep->mutex);
-    if (ep->stopping) return;
-    ep->stats.received += 1;
-    ep->stats.bytes_received += env.payload.size();
-    env.queued_at = now();  // enqueue stamp: queue time = dequeue - this
-    ep->inbox.push_back(std::move(env));
-    ++ep->wakeups;
-    if (ep->mode == ExecutionMode::kServiced &&
-        ep->mstate == MailboxState::kIdle) {
-      ep->mstate = MailboxState::kScheduled;
-      sched = true;
+    if (!ep->stopping) {
+      accepted = true;
+      ep->stats.received += 1;
+      ep->stats.bytes_received += env.payload.size();
+      env.queued_at = now();  // enqueue stamp: queue time = dequeue - this
+      ep->inbox.push_back(std::move(env));
+      ++ep->wakeups;
+      if (ep->mode == ExecutionMode::kServiced &&
+          ep->mstate == MailboxState::kIdle) {
+        ep->mstate = MailboxState::kScheduled;
+        sched = true;
+      }
     }
   }
+  if (!accepted) return bounce(std::move(env));
   ep->cv.notify_all();
   if (sched) schedule(ep);
+}
+
+// A frame that raced close_endpoint after post() accepted it: return the
+// payload to the sender as a transport-level NACK, exactly as
+// SimRuntime::deliver does, so its Messenger fails the call with
+// kStaleBinding now rather than kTimeout at the deadline. Every endpoint is
+// in this process, so the bounce goes straight to the sender's mailbox.
+void EpollRuntime::bounce(Envelope env) {
+  if (env.kind != DeliveryKind::kData) return;  // never bounce a bounce
+  EndpointPtr src = find(env.src);
+  if (!src || !src->alive.load()) return;  // nobody left to tell
+  transport_.bounced.inc();
+  Envelope back{env.dst, env.src, DeliveryKind::kBounce,
+                std::move(env.payload)};
+  back.trace_id = env.trace_id;  // keep the NACK attributable
+  back.hop = env.hop;
+  back.span_id = env.span_id;
+  back.parent_span_id = env.parent_span_id;
+  enqueue(std::move(back));
 }
 
 void EpollRuntime::schedule(const EndpointPtr& ep) {
@@ -672,8 +689,6 @@ void EpollRuntime::reactor_loop() {
             }
             break;  // unexpected (listener shut down mid-poll)
           }
-          const int one = 1;
-          ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
           conns.emplace(conn, Conn{});
           epoll_event ev{};
           ev.events = EPOLLIN;

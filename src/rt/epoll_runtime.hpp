@@ -7,10 +7,13 @@
 // "millions of objects" target. Here threads are decoupled from objects:
 //
 //   * A single *reactor* thread owns every socket. Per-HOST nonblocking
-//     loopback listeners (ephemeral ports are ~28k; per-endpoint listeners
-//     cannot reach 1M objects) are accepted and read with epoll; complete
-//     frames (rt/frame.hpp, identical wire format to TcpRuntime) are routed
-//     to the destination endpoint's mailbox by the env.dst header field.
+//     Unix-domain listeners (per-endpoint listeners would cost an fd per
+//     object and cannot reach 1M objects) are accepted and read with epoll;
+//     complete frames (rt/frame.hpp, identical wire format to TcpRuntime
+//     and ProcessRuntime) are routed to the destination endpoint's mailbox
+//     by the env.dst header field. A frame whose destination closed after
+//     post() accepted it goes back to its sender as kBounce, as in
+//     SimRuntime.
 //   * A fixed pool of *workers* (default: hardware_concurrency) drains
 //     mailboxes. Each endpoint is a tiny actor: kIdle until a message
 //     arrives, then kScheduled on a run queue, then kRunning on exactly one
@@ -24,12 +27,20 @@
 //     behind awaiting handlers — essential on small machines where the pool
 //     may be a single worker.
 //
+// Every endpoint lives in this process, so the sockets are Unix-domain
+// streams, not TCP loopback: a same-host hop gains nothing from the TCP
+// stack but its cost. The host listeners are `ep-<host id>.sock` in a
+// private directory (SocketDir: mkdtemp, mode 0700 — only the owning uid can
+// inject frames) that the runtime creates at construction and removes at
+// teardown.
+//
 // Sending reuses the shared ConnPool (MRU reuse, idle reap, reconnect-once,
-// ECONNREFUSED -> kStaleBinding), so posting semantics — including the
-// failure classification the Section 4.1.4 repair loop depends on — are
-// byte-for-byte those of TcpRuntime. The fault plan is consulted on post
-// like ThreadRuntime's, so recovery experiments (host down, partitions,
-// lossy classes) run unchanged over real sockets.
+// ENOENT/ECONNREFUSED -> kStaleBinding, fd exhaustion -> kUnavailable), so
+// posting semantics — including the failure classification the Section
+// 4.1.4 repair loop depends on — are those of the other socket runtimes. The
+// fault plan is consulted on post like ThreadRuntime's, so recovery
+// experiments (host down, partitions, lossy classes) run unchanged over real
+// sockets.
 #pragma once
 
 #include <atomic>
@@ -39,6 +50,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "base/mutex.hpp"
@@ -46,11 +58,13 @@
 #include "base/thread_annotations.hpp"
 #include "rt/conn_pool.hpp"
 #include "rt/runtime.hpp"
+#include "rt/socket_util.hpp"
 
 namespace legion::rt {
 
 struct EpollOptions {
-  // Client-socket pooling and listener tuning, shared with TcpRuntime.
+  // Client-socket pooling and listener tuning, shared with the other socket
+  // runtimes.
   TcpOptions tcp;
   // Fixed worker-pool size; 0 = std::thread::hardware_concurrency(). The
   // pool may temporarily exceed this with spares spawned while workers
@@ -91,10 +105,14 @@ class EpollRuntime final : public Runtime {
       const std::string& label) const override;
   void reset_stats() override;
 
-  // The real TCP port an endpoint receives on — its HOST's listener port
-  // (endpoints share their host's listener; frames are demultiplexed by the
-  // dst header field).
-  [[nodiscard]] std::uint16_t port_of(EndpointId id) const;
+  // The Unix-domain socket path an endpoint receives on — its HOST's
+  // listener (endpoints share their host's listener; frames are
+  // demultiplexed by the dst header field). "" for an unknown endpoint.
+  [[nodiscard]] std::string listener_path(EndpointId id) const;
+  // The private directory holding every host listener.
+  [[nodiscard]] const std::string& socket_dir() const {
+    return socket_dir_.path();
+  }
 
   [[nodiscard]] const TcpOptions& options() const { return options_.tcp; }
 
@@ -118,7 +136,6 @@ class EpollRuntime final : public Runtime {
     std::string label;
     MessageHandler handler;
     ExecutionMode mode = ExecutionMode::kServiced;
-    std::uint16_t host_port = 0;  // the host listener this endpoint shares
     EndpointId id;
 
     base::Mutex mutex{base::lock_rank::kEndpoint};
@@ -173,6 +190,7 @@ class EpollRuntime final : public Runtime {
   void reactor_loop();
   void post_control(ControlOp op);
   void enqueue(Envelope env);  // reactor -> mailbox handoff
+  void bounce(Envelope env);   // enqueue() found the destination closed
 
   const EpollOptions options_;
 
@@ -181,10 +199,14 @@ class EpollRuntime final : public Runtime {
       GUARDED_BY(map_mutex_);
   std::uint64_t next_endpoint_ GUARDED_BY(map_mutex_) = 1;
 
-  // One shared listener per host (lazily bound on the host's first
-  // endpoint): HostId -> listener port, for stamping Endpoint::host_port.
+  // Holds the host listeners. Declared before pool_, which dials into it,
+  // and removed only after teardown closed every socket.
+  const SocketDir socket_dir_;
+
+  // Hosts whose shared listener is bound (lazily, on the host's first
+  // endpoint) at ConnPool::UnixSocketPath(socket_dir_, host id).
   base::Mutex listeners_mutex_{base::lock_rank::kListeners};
-  std::unordered_map<std::uint32_t, std::uint16_t> listener_ports_
+  std::unordered_set<std::uint32_t> listening_hosts_
       GUARDED_BY(listeners_mutex_);
 
   // Worker pool. `workers_` only grows (spares are kept until teardown);
@@ -214,8 +236,10 @@ class EpollRuntime final : public Runtime {
   base::Mutex rng_mutex_{base::lock_rank::kRng};
   Rng rng_ GUARDED_BY(rng_mutex_);
 
-  // Client-side connection pool, shared implementation with TcpRuntime.
-  ConnPool pool_{options_.tcp, metrics_, ConnPool::LoopbackDialer()};
+  // Client-side connection pool, keyed by destination host id. Its metrics
+  // keep TcpRuntime's rt.tcp.* names, which legion-bench reads.
+  ConnPool pool_{options_.tcp, metrics_,
+                 ConnPool::UnixDialer(socket_dir_.path())};
 
   obs::Counter& io_retries_{metrics_.counter("rt.eintr_retries")};
   // accept() failures survived without deafening a host listener

@@ -11,7 +11,6 @@
 #include <cassert>
 #include <cerrno>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 
 #include "rt/frame.hpp"
@@ -63,24 +62,12 @@ bool AwaitReadyByte(int fd, SimTime timeout_us) {
 
 }  // namespace
 
-std::string ProcessRuntime::ResolveSocketDir(const ProcessOptions& options,
-                                             bool& owned) {
-  owned = false;
-  if (!options.socket_dir.empty()) return options.socket_dir;
-  // Keep the template short: every endpoint's `<dir>/ep-<id>.sock` must fit
-  // sockaddr_un's ~107-byte path (socket_util.hpp).
-  char tmpl[] = "/tmp/legion.XXXXXX";
-  if (::mkdtemp(tmpl) == nullptr) return "/tmp";
-  owned = true;
-  return tmpl;
-}
-
 ProcessRuntime::ProcessRuntime() : ProcessRuntime(ProcessOptions{}) {}
 
 ProcessRuntime::ProcessRuntime(ProcessOptions options)
     : options_(std::move(options)),
-      socket_dir_(ResolveSocketDir(options_, owns_socket_dir_)),
-      pool_(options_.tcp, metrics_, ConnPool::UnixDialer(socket_dir_),
+      socket_dir_(options_.socket_dir),
+      pool_(options_.tcp, metrics_, ConnPool::UnixDialer(socket_dir_.path()),
             "rt.proc.pool"),
       epoch_(std::chrono::steady_clock::now()) {
   child_log_dir_ = options_.child_log_dir;
@@ -163,10 +150,6 @@ ProcessRuntime::~ProcessRuntime() {
       if (t.joinable()) t.join();
     }
   }
-  if (owns_socket_dir_) {
-    std::error_code ec;
-    std::filesystem::remove_all(socket_dir_, ec);
-  }
 }
 
 void ProcessRuntime::stop_endpoint(const EndpointPtr& ep) {
@@ -196,6 +179,7 @@ EndpointId ProcessRuntime::create_endpoint(HostId host, std::string label,
                                            MessageHandler handler,
                                            ExecutionMode mode) {
   assert(topology_.host(host) != nullptr && "endpoint on unknown host");
+  if (socket_dir().empty()) return EndpointId{};  // mkdtemp failed
   auto ep = std::make_shared<Endpoint>();
   ep->host = host;
   ep->label = std::move(label);
@@ -217,7 +201,7 @@ EndpointId ProcessRuntime::create_endpoint(HostId host, std::string label,
     } else {
       id_value = next_endpoint_++;
     }
-    ep->socket_path = ConnPool::UnixSocketPath(socket_dir_, id_value);
+    ep->socket_path = ConnPool::UnixSocketPath(socket_dir(), id_value);
     ep->listen_fd =
         CreateUnixListener(ep->socket_path, options_.tcp.listen_backlog);
     if (ep->listen_fd < 0) return EndpointId{};
@@ -580,6 +564,9 @@ Result<SpawnInfo> ProcessRuntime::spawn_object(const SpawnSpec& spec) {
   if (::access(spec.executable.c_str(), X_OK) != 0) {
     return NotFoundError("worker executable not runnable: " + spec.executable);
   }
+  if (socket_dir().empty()) {
+    return UnavailableError("no socket directory (mkdtemp failed)");
+  }
 
   // The child's endpoint id comes from the same allocator as local
   // endpoints, so ids never collide across the spawn/create interleaving.
@@ -592,12 +579,12 @@ Result<SpawnInfo> ProcessRuntime::spawn_object(const SpawnSpec& spec) {
   // Stage the OPR and handles as files: the worker's whole activation input
   // is on disk, which is exactly the paper's claim — an executable plus a
   // persistent representation suffice to revive the object anywhere.
-  const std::string stem = socket_dir_ + "/child-" + std::to_string(id);
+  const std::string stem = socket_dir() + "/child-" + std::to_string(id);
   const std::string opr_path = stem + ".opr";
   const std::string handles_path = stem + ".handles";
   if (!WriteFile(opr_path, spec.opr_bytes) ||
       !WriteFile(handles_path, spec.handles_bytes)) {
-    return UnavailableError("cannot stage worker inputs in " + socket_dir_);
+    return UnavailableError("cannot stage worker inputs in " + socket_dir());
   }
 
   int ready[2] = {-1, -1};
@@ -608,7 +595,7 @@ Result<SpawnInfo> ProcessRuntime::spawn_object(const SpawnSpec& spec) {
   SpawnChildArgs args;
   args.executable = spec.executable;
   args.argv = {spec.executable,
-               "--socket-dir", socket_dir_,
+               "--socket-dir", socket_dir(),
                "--endpoint-id", std::to_string(id),
                "--opr", opr_path,
                "--handles", handles_path,

@@ -47,6 +47,7 @@
 #include "base/thread_annotations.hpp"
 #include "rt/conn_pool.hpp"
 #include "rt/runtime.hpp"
+#include "rt/socket_util.hpp"
 
 namespace legion::rt {
 
@@ -54,8 +55,8 @@ struct ProcessOptions {
   // Pool / backlog knobs, shared with the TCP transports.
   TcpOptions tcp;
   // Directory holding every endpoint's socket plus the per-child OPR/handles
-  // files. "" in parent mode = create (and own) a mkdtemp /tmp/legion.XXXXXX;
-  // workers are always told the parent's directory.
+  // files. "" in parent mode = create (and own) a private SocketDir
+  // (rt/socket_util.hpp); workers are always told the parent's directory.
   std::string socket_dir;
   // != 0 switches to worker mode: serve this parent-assigned endpoint id.
   std::uint64_t worker_endpoint_id = 0;
@@ -111,7 +112,9 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   [[nodiscard]] std::vector<ChildInfo> children() const override;
 
   [[nodiscard]] const ProcessOptions& options() const { return options_; }
-  [[nodiscard]] const std::string& socket_dir() const { return socket_dir_; }
+  [[nodiscard]] const std::string& socket_dir() const {
+    return socket_dir_.path();
+  }
   [[nodiscard]] bool worker_mode() const {
     return options_.worker_endpoint_id != 0;
   }
@@ -188,15 +191,11 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   void mark_child_dead(std::uint64_t endpoint_value);
   void deliver_local(Envelope env);
 
-  // Resolves options.socket_dir ("" in parent mode = mkdtemp), setting
-  // `owned` when this runtime must remove the directory on destruction.
-  static std::string ResolveSocketDir(const ProcessOptions& options,
-                                      bool& owned);
-
   const ProcessOptions options_;
-  bool owns_socket_dir_ = false;  // declared before socket_dir_: see ctor
-  std::string socket_dir_;        // resolved (possibly mkdtemp-created)
-  std::string child_log_dir_;     // resolved from options/env
+  // options.socket_dir, or ("" in parent mode) a private directory this
+  // runtime creates and removes. Declared before pool_, which dials into it.
+  const SocketDir socket_dir_;
+  std::string child_log_dir_;  // resolved from options/env
 
   mutable base::SharedMutex map_mutex_{base::lock_rank::kEndpointMap};
   std::unordered_map<std::uint64_t, EndpointPtr> endpoints_

@@ -2,20 +2,27 @@
 //
 // A Runtime owns endpoints (one per active Legion object, plus "driver"
 // endpoints for external threads) and moves envelopes between them across a
-// simulated topology. Two implementations share this interface:
+// simulated topology. Five implementations share this interface:
 //
-//   * SimRuntime    — sequential, virtual-time, deterministic. Every message
-//                     is accounted per endpoint and per latency class, which
-//                     is precisely what the paper's Section 5 scalability
-//                     claims quantify.
-//   * ThreadRuntime — one OS thread per serviced endpoint with real
-//                     mailboxes; demonstrates the model under true
-//                     concurrency.
+//   * SimRuntime     — sequential, virtual-time, deterministic. Every
+//                      message is accounted per endpoint and per latency
+//                      class, which is precisely what the paper's Section 5
+//                      scalability claims quantify.
+//   * ThreadRuntime  — one OS thread per serviced endpoint with real
+//                      mailboxes; demonstrates the model under true
+//                      concurrency.
+//   * TcpRuntime     — a TCP loopback listener per endpoint and a reader
+//                      thread per accepted connection (rt/tcp_runtime.hpp).
+//   * EpollRuntime   — M:N: one epoll reactor over per-host Unix-domain
+//                      listeners, a work-stealing worker pool and
+//                      per-endpoint actor mailboxes (rt/epoll_runtime.hpp).
+//   * ProcessRuntime — one OS process per object, Unix-domain sockets
+//                      between them (rt/process_runtime.hpp).
 //
 // Blocking semantics: wait() keeps servicing the waiting endpoint's incoming
 // messages (the paper allows methods to be "accepted in any order"), which
 // keeps nested call chains — object -> class -> magistrate -> host — free of
-// deadlock in both runtimes.
+// deadlock in every runtime.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
+#include <utility>
 
 namespace legion::rt {
 
@@ -74,6 +78,30 @@ int CreateUnixListener(const std::string& path, int backlog) {
     return -1;
   }
   return fd;
+}
+
+SocketDir::SocketDir(std::string path) : path_(std::move(path)) {
+  if (!path_.empty()) return;
+  // Every `<dir>/ep-<id>.sock` must fit sockaddr_un's ~107-byte path: the
+  // longest id takes 29 bytes after the directory, and the directory adds
+  // 14 bytes to its parent.
+  constexpr std::size_t kMaxParent = 60;
+  std::string parent = "/tmp";
+  if (const char* tmpdir = std::getenv("TMPDIR");
+      tmpdir != nullptr && *tmpdir != '\0' &&
+      std::strlen(tmpdir) <= kMaxParent) {
+    parent = tmpdir;
+  }
+  std::string tmpl = parent + "/legion.XXXXXX";
+  if (::mkdtemp(tmpl.data()) == nullptr) return;
+  path_ = std::move(tmpl);
+  owned_ = true;
+}
+
+SocketDir::~SocketDir() {
+  if (!owned_) return;
+  std::error_code ec;
+  std::filesystem::remove_all(path_, ec);
 }
 
 int DialUnix(const std::string& path) {

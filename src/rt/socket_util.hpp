@@ -1,16 +1,19 @@
 // Socket helpers shared by the socket-backed runtimes.
 //
-// TcpRuntime (thread-per-connection), EpollRuntime (reactor) and
-// ProcessRuntime (one child process per object, Unix-domain sockets) create
-// listeners, dial peers, and move whole frames; centralizing the syscall
-// loops keeps the EINTR/EAGAIN/partial-transfer handling — and the listener
-// socket options (SO_REUSEADDR, configurable backlog, close-on-exec) —
-// identical in all of them.
+// TcpRuntime (thread-per-connection, TCP loopback), EpollRuntime (reactor,
+// Unix-domain sockets) and ProcessRuntime (one child process per object,
+// Unix-domain sockets) create listeners, dial peers, and move whole frames;
+// centralizing the syscall loops keeps the EINTR/EAGAIN/partial-transfer
+// handling — and the listener socket options (SO_REUSEADDR on TCP,
+// configurable backlog, close-on-exec) — identical in all of them. The two
+// Unix-domain runtimes also share SocketDir, the private directory their
+// socket files live in.
 //
 // Every socket created here is close-on-exec. ProcessRuntime fork/execs a
 // worker per object; without CLOEXEC the child would inherit the parent's
-// pooled client sockets and every listener (keeping dead ports alive through
-// TIME_WAIT and leaking peer data into an address-space-disjoint object).
+// pooled client sockets and every listener (keeping dead TCP ports alive
+// through TIME_WAIT and leaking peer data into an address-space-disjoint
+// object).
 #pragma once
 
 #include <sys/uio.h>
@@ -23,7 +26,7 @@
 
 namespace legion::rt {
 
-// A freshly bound loopback listener. fd < 0 means creation failed (errno
+// A freshly bound TCP loopback listener. fd < 0 means creation failed (errno
 // preserved from the failing syscall).
 struct ListenerSocket {
   int fd = -1;
@@ -44,6 +47,30 @@ struct ListenerSocket {
 // socket file first). Returns the listening fd, or -1 with errno preserved.
 // `path` must fit sun_path (~107 bytes) — keep socket directories short.
 [[nodiscard]] int CreateUnixListener(const std::string& path, int backlog);
+
+// The directory a runtime's Unix-domain socket files live in.
+//
+// An empty `path` creates a private one, `$TMPDIR/legion.XXXXXX` (`/tmp` when
+// TMPDIR is unset or too long for the socket paths below it), with mkdtemp:
+// mode 0700, so only the owning uid can connect to the sockets in it and
+// inject frames. That directory is owned and removed, with every socket file
+// in it, when the SocketDir is destroyed. A non-empty `path` is used as given
+// and left in place (a ProcessRuntime worker serves from its parent's
+// directory). path() is empty when mkdtemp failed.
+class SocketDir {
+ public:
+  explicit SocketDir(std::string path = {});
+  ~SocketDir();
+
+  SocketDir(const SocketDir&) = delete;
+  SocketDir& operator=(const SocketDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  bool owned_ = false;
+};
 
 // Connects a SOCK_STREAM Unix-domain client socket to `path`. Returns the
 // connected fd, or -1 with errno preserved (ENOENT/ECONNREFUSED = nothing

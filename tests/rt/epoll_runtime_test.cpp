@@ -1,21 +1,53 @@
-// The M:N event-driven runtime: per-host shared listeners, a fixed
-// work-stealing worker pool with blocked-worker compensation, and frames
-// demultiplexed by the reactor — same wire format and posting semantics as
-// TcpRuntime, a constant number of threads regardless of endpoint count.
+// The M:N event-driven runtime: per-host shared Unix-domain listeners in a
+// private socket directory, a fixed work-stealing worker pool with
+// blocked-worker compensation, and frames demultiplexed by the reactor —
+// same wire format and posting semantics as the other socket runtimes, a
+// constant number of threads regardless of endpoint count.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/system.hpp"
 #include "core/well_known.hpp"
+#include "rt/conn_pool.hpp"
 #include "rt/epoll_runtime.hpp"
+#include "rt/frame.hpp"
 #include "rt/messenger.hpp"
+#include "rt/socket_util.hpp"
 #include "sim/sample_objects.hpp"
 
 namespace legion::rt {
 namespace {
+
+namespace fs = std::filesystem;
+
+// Writes one well-formed frame straight onto a connected socket, bypassing
+// post() and its liveness checks.
+void WriteFrame(int fd, const Envelope& env) {
+  std::uint8_t header[kFrameHeaderBytes];
+  EncodeFrameHeader(env, header);
+  ASSERT_EQ(::write(fd, header, sizeof header),
+            static_cast<ssize_t>(sizeof header));
+  if (!env.payload.empty()) {
+    ASSERT_EQ(::write(fd, env.payload.data(), env.payload.size()),
+              static_cast<ssize_t>(env.payload.size()));
+  }
+}
+
+std::size_t CountEntries(const fs::path& dir) {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir)) ++n;
+  return n;
+}
 
 class EpollRuntimeTest : public ::testing::Test {
  protected:
@@ -29,8 +61,8 @@ class EpollRuntimeTest : public ::testing::Test {
 };
 
 // Endpoints do not own sockets: they share their host's listener. This is
-// what makes a million resident objects possible (ephemeral ports top out
-// around 28k).
+// what makes a million resident objects possible (a listener per object
+// would cost an fd per object).
 TEST_F(EpollRuntimeTest, EndpointsShareTheirHostListener) {
   EpollRuntime rt;
   MakeTopology(rt);
@@ -40,9 +72,13 @@ TEST_F(EpollRuntimeTest, EndpointsShareTheirHostListener) {
                                           ExecutionMode::kServiced);
   const EndpointId c = rt.create_endpoint(h2_, "c", [](Envelope&&) {},
                                           ExecutionMode::kServiced);
-  EXPECT_NE(rt.port_of(a), 0);
-  EXPECT_EQ(rt.port_of(a), rt.port_of(b));
-  EXPECT_NE(rt.port_of(a), rt.port_of(c));
+  EXPECT_FALSE(rt.listener_path(a).empty());
+  EXPECT_EQ(rt.listener_path(a), rt.listener_path(b));
+  EXPECT_NE(rt.listener_path(a), rt.listener_path(c));
+  EXPECT_EQ(fs::path(rt.listener_path(a)).parent_path(), rt.socket_dir());
+  EXPECT_TRUE(fs::is_socket(rt.listener_path(a)));
+  EXPECT_TRUE(fs::is_socket(rt.listener_path(c)));
+  EXPECT_EQ(rt.listener_path(EndpointId{9999}), "");
 }
 
 TEST_F(EpollRuntimeTest, MessengerRoundTripOverEpoll) {
@@ -200,6 +236,141 @@ TEST_F(EpollRuntimeTest, ListenBacklogOptionIsPlumbed) {
   tcp.listen_backlog = 8;
   EpollRuntime rt(tcp);
   EXPECT_EQ(rt.options().listen_backlog, 8);
+  MakeTopology(rt);
+  const EndpointId a = rt.create_endpoint(h1_, "a", [](Envelope&&) {},
+                                          ExecutionMode::kServiced);
+  // The listener bound with that backlog accepts at its advertised path.
+  const int fd = DialUnix(rt.listener_path(a));
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  ::close(fd);
+}
+
+// A frame that raced close_endpoint after post() accepted it is bounced to
+// its sender (as SimRuntime does), so the caller's Messenger sees
+// kStaleBinding at once instead of timing out. The race is forced by
+// writing the frame straight onto the host listener after the close.
+TEST_F(EpollRuntimeTest, FrameForClosedDestinationBouncesToSender) {
+  EpollRuntime rt;
+  MakeTopology(rt);
+  std::vector<Envelope> got;
+  const EndpointId a = rt.create_endpoint(
+      h1_, "a", [&](Envelope&& env) { got.push_back(std::move(env)); },
+      ExecutionMode::kDriver);
+  const EndpointId b = rt.create_endpoint(h1_, "b", [](Envelope&&) {},
+                                          ExecutionMode::kServiced);
+  const EndpointId gone =
+      rt.create_endpoint(h1_, "gone", nullptr, ExecutionMode::kDriver);
+  const std::string listener = rt.listener_path(b);
+  rt.close_endpoint(b);
+  rt.close_endpoint(gone);
+
+  const int fd = DialUnix(listener);
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  // From a closed source: nobody to bounce to, so it is dropped.
+  WriteFrame(fd, Envelope{gone, b, DeliveryKind::kData,
+                          Buffer::FromString("orphan")});
+  Envelope data{a, b, DeliveryKind::kData, Buffer::FromString("payload")};
+  data.trace_id = 7;
+  data.span_id = 11;
+  data.parent_span_id = 5;
+  WriteFrame(fd, data);
+
+  // Same stream, so by the time a's bounce arrives the orphan frame has
+  // been handled too.
+  EXPECT_TRUE(rt.wait(a, [&] { return !got.empty(); }, 10'000'000));
+  ::close(fd);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, DeliveryKind::kBounce);
+  EXPECT_EQ(got[0].src, b);
+  EXPECT_EQ(got[0].dst, a);
+  EXPECT_EQ(got[0].payload.as_string(), "payload");
+  EXPECT_EQ(got[0].trace_id, 7u);
+  EXPECT_EQ(got[0].span_id, 11u);
+  EXPECT_EQ(got[0].parent_span_id, 5u);
+  EXPECT_EQ(rt.stats().bounced, 1u);
+  // A bounce is never bounced: nothing further arrives.
+  EXPECT_FALSE(rt.wait(a, [&] { return got.size() > 1; }, 50'000));
+}
+
+// Each runtime owns a distinct private directory for its host listeners.
+TEST_F(EpollRuntimeTest, EachRuntimeOwnsAPrivateSocketDirectory) {
+  EpollRuntime one;
+  EpollRuntime two;
+  ASSERT_FALSE(one.socket_dir().empty());
+  ASSERT_FALSE(two.socket_dir().empty());
+  EXPECT_NE(one.socket_dir(), two.socket_dir());
+  for (const std::string& dir : {one.socket_dir(), two.socket_dir()}) {
+    struct stat st{};
+    ASSERT_EQ(::stat(dir.c_str(), &st), 0) << dir;
+    EXPECT_TRUE(S_ISDIR(st.st_mode));
+    EXPECT_EQ(st.st_mode & 0777, 0700u) << dir;
+    EXPECT_EQ(st.st_uid, ::getuid());
+  }
+
+  // Same host id in both runtimes, two different listeners.
+  MakeTopology(one);
+  const HostId h1_one = h1_;
+  MakeTopology(two);
+  const EndpointId a = one.create_endpoint(h1_one, "a", [](Envelope&&) {},
+                                           ExecutionMode::kServiced);
+  const EndpointId b = two.create_endpoint(h1_, "b", [](Envelope&&) {},
+                                           ExecutionMode::kServiced);
+  EXPECT_NE(one.listener_path(a), two.listener_path(b));
+}
+
+// Teardown removes every socket file and the directory itself; dialing the
+// dead listener afterwards is a stale binding, not a hang or kUnavailable.
+TEST_F(EpollRuntimeTest, TeardownRemovesSocketDirectory) {
+  std::string dir;
+  std::string listener;
+  {
+    EpollRuntime rt;
+    MakeTopology(rt);
+    const EndpointId a = rt.create_endpoint(h1_, "a", [](Envelope&&) {},
+                                            ExecutionMode::kServiced);
+    rt.create_endpoint(h2_, "b", [](Envelope&&) {}, ExecutionMode::kServiced);
+    dir = rt.socket_dir();
+    listener = rt.listener_path(a);
+    EXPECT_EQ(CountEntries(dir), 2u);  // one listener per host
+  }
+  EXPECT_FALSE(fs::exists(listener));
+  EXPECT_FALSE(fs::exists(dir));
+
+  ASSERT_EQ(listener, ConnPool::UnixSocketPath(dir, h1_.value));
+  obs::Registry registry;
+  ConnPool pool(TcpOptions{}, registry, ConnPool::UnixDialer(dir));
+  EXPECT_EQ(pool.send(h1_.value, Envelope{}).code(),
+            StatusCode::kStaleBinding);
+}
+
+// Creating and destroying many runtimes leaves the temporary directory as
+// it was. TMPDIR points at a fresh directory so parallel tests cannot
+// disturb the count.
+TEST_F(EpollRuntimeTest, ThousandRuntimesLeaveTmpAsItWas) {
+  char tmpl[] = "/tmp/legion-tmpdir.XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const char* saved = std::getenv("TMPDIR");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("TMPDIR", tmpl, 1);
+  for (int i = 0; i < 1000; ++i) {
+    EpollOptions options;
+    options.workers = 1;
+    EpollRuntime rt(options);
+    EXPECT_EQ(fs::path(rt.socket_dir()).parent_path(), fs::path(tmpl));
+    if (i % 100 == 0) {
+      // Some with a bound listener, most bare.
+      MakeTopology(rt);
+      rt.create_endpoint(h1_, "a", [](Envelope&&) {},
+                         ExecutionMode::kServiced);
+    }
+  }
+  EXPECT_EQ(CountEntries(tmpl), 0u);
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  fs::remove_all(tmpl);
 }
 
 // The headline: the full Legion core bootstrapped over the M:N runtime.

@@ -2,9 +2,10 @@
 // keep-alive reuse, bounded fd usage under sustained load, connect-failure
 // classification (EMFILE is resource pressure, not a stale binding), and
 // pool consistency under endpoint close/reopen races (run under TSan in
-// CI). Typed over both socket transports — TcpRuntime (thread-per-
-// connection) and EpollRuntime (M:N reactor) share the ConnPool sender, so
-// every pool invariant must hold identically for both.
+// CI). Typed over both in-process socket transports — TcpRuntime
+// (thread-per-connection, TCP loopback) and EpollRuntime (M:N reactor,
+// Unix-domain sockets) share the ConnPool sender, so every pool invariant
+// must hold identically for both.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -12,6 +13,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -21,6 +24,16 @@
 
 namespace legion::rt {
 namespace {
+
+// Descriptors this process holds right now.
+std::size_t OpenFds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
 
 template <typename RuntimeT>
 class TcpPoolTest : public ::testing::Test {
@@ -128,8 +141,19 @@ TYPED_TEST(TcpPoolTest, FdExhaustionIsUnavailableNotStaleBinding) {
       this->h2_, "sink", [](Envelope&&) {}, ExecutionMode::kServiced);
   const EndpointId src =
       rt.create_endpoint(this->h1_, "src", nullptr, ExecutionMode::kDriver);
+  const std::size_t fds_before = OpenFds();
   ASSERT_TRUE(
       rt.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).ok());
+  // The receiving side accepted that connection and closes it at EOF. Wait
+  // for the close: a descriptor it freed after the table below is filled
+  // would let the next dial succeed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((rt.endpoint_stats(sink).received < 1 || OpenFds() > fds_before) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(OpenFds(), fds_before);
 
   rlimit saved{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
