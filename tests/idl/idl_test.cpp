@@ -118,9 +118,15 @@ TEST(IdlTest, PersistentRequiresMentat) {
 }
 
 struct ErrorCase {
+  std::string label;     // stable case name (ctest derives test names from it)
   std::string source;
   std::string fragment;  // expected in the error message
 };
+
+// Without a printer gtest dumps the struct's bytes, heap pointers included,
+// and gtest_discover_tests turns that dump into the ctest name — which then
+// changes on every build. Print the label instead.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.label; }
 
 class IdlErrorSweep : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -136,15 +142,20 @@ TEST_P(IdlErrorSweep, ReportsPositionAndReason) {
 INSTANTIATE_TEST_SUITE_P(
     Errors, IdlErrorSweep,
     ::testing::Values(
-        ErrorCase{"iface T { };", "expected 'interface'"},
-        ErrorCase{"interface { };", "interface name"},
-        ErrorCase{"interface T { int m(; };", "parameter type"},
-        ErrorCase{"interface T { int m() };", "';'"},
-        ErrorCase{"interface T { int m(int x) ", "';'"},
-        ErrorCase{"interface T : { };", "base name"},
-        ErrorCase{"interface T { void m(); void m(); };", "duplicate method"},
-        ErrorCase{"interface T { @ };", "unexpected character"},
-        ErrorCase{"interface T { /* oops };", "unterminated block comment"}));
+        ErrorCase{"MissingInterfaceKeyword", "iface T { };",
+                  "expected 'interface'"},
+        ErrorCase{"MissingInterfaceName", "interface { };", "interface name"},
+        ErrorCase{"MissingParameterType", "interface T { int m(; };",
+                  "parameter type"},
+        ErrorCase{"MissingMethodSemicolon", "interface T { int m() };", "';'"},
+        ErrorCase{"TruncatedMethod", "interface T { int m(int x) ", "';'"},
+        ErrorCase{"MissingBaseName", "interface T : { };", "base name"},
+        ErrorCase{"DuplicateMethod", "interface T { void m(); void m(); };",
+                  "duplicate method"},
+        ErrorCase{"UnexpectedCharacter", "interface T { @ };",
+                  "unexpected character"},
+        ErrorCase{"UnterminatedBlockComment", "interface T { /* oops };",
+                  "unterminated block comment"}));
 
 TEST(IdlTest, ErrorsCarryLineNumbers) {
   auto result = ParseSingle("interface T {\n  int m()\n};");
