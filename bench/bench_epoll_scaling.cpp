@@ -4,8 +4,8 @@
 //
 // ThreadRuntime spends an OS thread per serviced endpoint, so its resident
 // population is capped by kernel thread limits and stack reservations —
-// thousands. EpollRuntime decouples objects from threads (one reactor plus
-// a fixed worker pool), so a million idle objects cost a million small
+// thousands. EpollRuntime decouples objects from threads (a fixed worker
+// pool), so a million idle objects cost a million small
 // mailbox structs and zero extra threads. The verdict line asserts the
 // headline ratio: >= 100x more resident idle objects than the demonstrated
 // thread-per-object ceiling, with a constant runtime thread count.

@@ -1,6 +1,6 @@
 // E19 — the price and the payoff of address-space isolation: what a real
 // per-object OS process costs (spawn latency, parent<->child call
-// throughput over Unix-domain sockets vs the in-process epoll runtime), and
+// throughput over Unix-domain sockets vs the in-memory epoll runtime), and
 // what it buys (a kill -9 on one object leaves the host and every sibling
 // answering — 100% sibling availability across repeated crash rounds, which
 // no in-process runtime can promise).
@@ -113,8 +113,8 @@ void Run() {
 
   // Throughput: serial Noop round trips parent -> child over the UDS frame
   // path, against the same call shape served in-process by the epoll
-  // runtime, whose host listener is a Unix-domain socket too. The gap is the
-  // documented price of crossing an address-space boundary per call.
+  // runtime, which delivers in memory. The gap is the documented price of
+  // crossing an address-space boundary (and a socket) per call.
   constexpr std::int64_t kCalls = 2000;
   rt::Messenger client(runtime, host, "bench-client",
                        rt::ExecutionMode::kDriver, nullptr);
@@ -156,7 +156,7 @@ void Run() {
                         {"path", "calls", "calls_per_s"});
   call_table.row({"process (parent<->child, UDS)", sim::Table::num(kCalls),
                   sim::Table::num(uds_calls_per_s)});
-  call_table.row({"epoll (in-process, UDS)", sim::Table::num(kCalls),
+  call_table.row({"epoll (in-process, in-memory)", sim::Table::num(kCalls),
                   sim::Table::num(epoll_calls_per_s)});
   call_table.print();
 

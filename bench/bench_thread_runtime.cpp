@@ -2,7 +2,7 @@
 // invocation throughput, scaling client threads. Section 2's non-blocking
 // method invocation should let independent client/object pairs proceed in
 // parallel whether each object owns an OS thread (ThreadRuntime), shares an
-// M:N worker pool behind an epoll reactor (EpollRuntime), or runs under the
+// M:N worker pool with in-memory mailboxes (EpollRuntime), or runs under the
 // single-threaded deterministic kernel (SimRuntime, the control).
 #include <atomic>
 #include <thread>
@@ -96,17 +96,17 @@ void Run() {
                                kCallsPerThread),
                sim::Table::num(throughput, 0)});
   }
-  // The socket-backed series: epoll's M:N pool over Unix-domain sockets vs
-  // TCP's thread-per-connection over loopback, both through the pooled
-  // persistent-connection transport and the same 49-byte frame codec; then
-  // the per-message ablation keeps the historical connect-per-frame cost
-  // visible (fewer iterations: every hop dials two real sockets).
+  // epoll's M:N pool with in-memory delivery, then the socket-backed
+  // series: TCP's thread-per-connection over loopback through the pooled
+  // persistent-connection transport, and the per-message ablation that
+  // keeps the historical connect-per-frame cost visible (fewer iterations:
+  // every hop dials two real sockets).
   constexpr int kTcpCalls = 1000;
   constexpr int kTcpAblationCalls = 300;
   for (const int threads : {1, 2, 4, 8}) {
     rt::EpollRuntime runtime;
     const double throughput = RunOnce(runtime, threads, kTcpCalls);
-    table.row({"epoll (M:N pool, UDS)",
+    table.row({"epoll (M:N pool, in-memory)",
                sim::Table::num(static_cast<std::int64_t>(threads)),
                sim::Table::num(static_cast<std::int64_t>(threads) * kTcpCalls),
                sim::Table::num(throughput, 0)});
@@ -135,10 +135,10 @@ void Run() {
               "per-call cost;\naggregate thread/epoll throughput stays ~flat "
               "as pairs scale on a\nsingle-core host (no runtime-level "
               "contention collapse) and rises toward\nthe core count on "
-              "multi-core hosts. The socket series ground the model\non real "
-              "frames: epoll's M:N pool should track tcp pooled within a "
-              "small\nconstant factor, and the per-message ablation shows the "
-              "connection-setup\ncost the pool removes.\n(this machine: %u "
+              "multi-core hosts. epoll's in-memory M:N pool should beat tcp\n"
+              "pooled, which pays real frames and syscalls per hop, and the "
+              "per-message\nablation shows the connection-setup cost the "
+              "pool removes.\n(this machine: %u "
               "hardware threads)\n",
               std::thread::hardware_concurrency());
 }

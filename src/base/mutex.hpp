@@ -32,9 +32,6 @@ namespace legion::base {
 // deliberate so future locks can slot in without renumbering.
 namespace lock_rank {
 inline constexpr int kUnranked = -1;
-// rt: EpollRuntime's per-host listener map — resolved before the endpoint
-// map is touched on create_endpoint, hence ranked above(-before) it.
-inline constexpr int kListeners = 12;
 // rt: EpollRuntime worker-pool accounting (blocked counts, spare spawning).
 // Always taken with nothing held (wait() marks itself blocked before
 // locking its endpoint).
@@ -53,9 +50,6 @@ inline constexpr int kEndpoint = 20;
 // decides the state transition.
 inline constexpr int kScheduler = 22;
 inline constexpr int kEndpointConns = 24;
-// rt: EpollRuntime reactor control queue (socket registrations handed to
-// the reactor thread alongside an eventfd kick).
-inline constexpr int kReactorControl = 26;
 // rt: tcp per-destination connection pool (taken with no endpoint lock).
 inline constexpr int kTcpPool = 28;
 // rt: ThreadRuntime joined-thread graveyard.

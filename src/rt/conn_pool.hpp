@@ -8,15 +8,14 @@
 // pool touch. Sockets whose peer vanished reconnect exactly once, and a
 // refused reconnect surfaces as kStaleBinding so the Section 4.1.4 repair
 // loop fires — while fd exhaustion (EMFILE/ENFILE) is kUnavailable, never
-// binding invalidation. Shared verbatim by TcpRuntime, EpollRuntime and
-// ProcessRuntime so the transports cannot drift apart in failure
-// classification.
+// binding invalidation. Shared verbatim by TcpRuntime and ProcessRuntime so
+// the transports cannot drift apart in failure classification.
 //
 // How a destination becomes a socket is the transport's business: the pool
 // keys connections by an opaque 64-bit id and dials through an injected
-// `Dialer`. TcpRuntime keys by listener port and dials loopback; the
-// Unix-domain runtimes dial `<dir>/ep-<key>.sock`, keyed by destination host
-// id (EpollRuntime: one listener per host) or endpoint id (ProcessRuntime).
+// `Dialer`. TcpRuntime keys by listener port and dials loopback;
+// ProcessRuntime dials `<dir>/ep-<key>.sock`, keyed by destination endpoint
+// id.
 #pragma once
 
 #include <sys/socket.h>

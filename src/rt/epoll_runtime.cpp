@@ -1,16 +1,7 @@
 #include "rt/epoll_runtime.hpp"
 
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
-
-#include "rt/frame.hpp"
-#include "rt/socket_util.hpp"
 
 namespace legion::rt {
 
@@ -22,10 +13,6 @@ constexpr auto kForeignPredicateSlice = std::chrono::milliseconds(50);
 // Messages one scheduled mailbox may drain before yielding the worker —
 // bounds per-endpoint monopolization without giving up batching.
 constexpr int kRunBudget = 32;
-
-// How long a host listener stays parked (removed from epoll) after an
-// fd-exhaustion accept failure before the reactor re-arms it.
-constexpr auto kAcceptBackoff = std::chrono::milliseconds(5);
 
 // Identifies worker threads (for work-stealing push targets and blocked
 // compensation) and the endpoint a thread is currently servicing (so a
@@ -73,35 +60,20 @@ class EpollRuntime::BlockedScope {
 
 EpollRuntime::EpollRuntime() : EpollRuntime(EpollOptions{}) {}
 
-EpollRuntime::EpollRuntime(TcpOptions tcp)
-    : EpollRuntime(EpollOptions{tcp, 0, Rng::kDefaultSeed}) {}
-
 EpollRuntime::EpollRuntime(EpollOptions options)
-    : options_(options),
-      rng_(options.seed),
-      epoch_(std::chrono::steady_clock::now()) {
+    : rng_(options.seed), epoch_(std::chrono::steady_clock::now()) {
   target_workers_ =
-      options_.workers != 0
-          ? options_.workers
+      options.workers != 0
+          ? options.workers
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  reactor_ = std::thread([this] { reactor_loop(); });
   base::MutexLock lock(pool_mutex_);
   for (std::size_t i = 0; i < target_workers_; ++i) spawn_worker();
 }
 
 EpollRuntime::~EpollRuntime() {
-  // 1. Stop the reactor first: no mailbox grows after this, so the drains
-  //    below terminate. The reactor closes every conn and listener it owns.
-  post_control({ControlOp::Kind::kStop, -1});
-  if (reactor_.joinable()) reactor_.join();
-
-  // 2. Mark every endpoint stopping so blocked waiters wake promptly.
+  // 1. Mark every endpoint stopping: blocked waiters wake promptly, and
+  //    post() refuses them from here on, so no mailbox grows and the drains
+  //    below terminate.
   std::vector<EndpointPtr> eps;
   {
     base::WriterMutexLock lock(map_mutex_);
@@ -118,7 +90,7 @@ EpollRuntime::~EpollRuntime() {
     ep->cv.notify_all();
   }
 
-  // 3. Stop the scheduler; workers drain whatever is still queued, then
+  // 2. Stop the scheduler; workers drain whatever is still queued, then
   //    exit. Join outside pool_mutex_ (workers take it in BlockedScope).
   {
     base::MutexLock lock(sched_mutex_);
@@ -134,10 +106,6 @@ EpollRuntime::~EpollRuntime() {
   for (auto& t : threads) {
     if (t.joinable()) t.join();
   }
-
-  pool_.close_all();
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
 void EpollRuntime::spawn_worker() {
@@ -149,7 +117,7 @@ void EpollRuntime::spawn_worker() {
 
 std::size_t EpollRuntime::runtime_threads() const {
   base::MutexLock lock(pool_mutex_);
-  return workers_.size() + 1;  // + the reactor
+  return workers_.size();
 }
 
 EndpointId EpollRuntime::create_endpoint(HostId host, std::string label,
@@ -162,23 +130,8 @@ EndpointId EpollRuntime::create_endpoint(HostId host, std::string label,
   ep->handler = std::move(handler);
   ep->mode = mode;
 
-  // Resolve (or lazily bind) the host's shared listener. Creating the
-  // endpoint costs no thread and no fd beyond its host's one listener —
-  // that is the whole 1M-objects-per-box argument.
-  {
-    base::MutexLock lock(listeners_mutex_);
-    if (!listening_hosts_.contains(host.value)) {
-      if (socket_dir_.path().empty()) return EndpointId{};  // mkdtemp failed
-      const int fd = CreateUnixListener(
-          ConnPool::UnixSocketPath(socket_dir_.path(), host.value),
-          options_.tcp.listen_backlog);
-      if (fd < 0) return EndpointId{};
-      SetNonBlocking(fd);
-      listening_hosts_.insert(host.value);
-      post_control({ControlOp::Kind::kAddListener, fd});
-    }
-  }
-
+  // Creating an endpoint costs no thread and no fd — that is the whole
+  // 1M-objects-per-box argument.
   EndpointId id;
   {
     base::WriterMutexLock lock(map_mutex_);
@@ -192,28 +145,29 @@ EndpointId EpollRuntime::create_endpoint(HostId host, std::string label,
 void EpollRuntime::close_endpoint(EndpointId id) {
   EndpointPtr ep = find(id);
   if (!ep) return;
-  {
-    base::WriterMutexLock lock(map_mutex_);
-    endpoints_.erase(id.value);
-  }
   ep->alive.store(false);
   bool self_running = false;
   {
     base::MutexLock lock(ep->mutex);
-    ep->stopping = true;
+    ep->stopping = true;  // post() refuses it from here on
     ++ep->wakeups;
     self_running = ep->mstate == MailboxState::kRunning &&
                    ep->running_thread == std::this_thread::get_id();
   }
   ep->cv.notify_all();
-  if (self_running) return;  // self-close from its own handler: no wait
-  // Mirror the thread runtimes' join-on-close: when close_endpoint returns,
-  // no handler for this endpoint is running and none will start. A worker
-  // drains any queued messages first (same drain-then-exit semantics as
-  // ThreadRuntime::service_loop).
-  BlockedScope blocked(this);
-  base::MutexLock lock(ep->mutex);
-  while (ep->mstate != MailboxState::kIdle) ep->cv.wait(ep->mutex);
+  if (!self_running) {  // self-close from its own handler: no wait
+    // Mirror the thread runtimes' join-on-close: when close_endpoint
+    // returns, no handler for this endpoint is running and none will start.
+    // A worker drains any queued messages first (same drain-then-exit
+    // semantics as ThreadRuntime::service_loop).
+    BlockedScope blocked(this);
+    base::MutexLock lock(ep->mutex);
+    while (ep->mstate != MailboxState::kIdle) ep->cv.wait(ep->mutex);
+  }
+  // Unpublish only after the drain: the handlers answering the requests
+  // post() accepted before the close still post their replies from here.
+  base::WriterMutexLock lock(map_mutex_);
+  endpoints_.erase(id.value);
 }
 
 bool EpollRuntime::endpoint_alive(EndpointId id) const {
@@ -224,12 +178,6 @@ bool EpollRuntime::endpoint_alive(EndpointId id) const {
 HostId EpollRuntime::host_of(EndpointId id) const {
   EndpointPtr ep = find(id);
   return ep ? ep->host : HostId{};
-}
-
-std::string EpollRuntime::listener_path(EndpointId id) const {
-  EndpointPtr ep = find(id);
-  return ep ? ConnPool::UnixSocketPath(socket_dir_.path(), ep->host.value)
-            : std::string{};
 }
 
 EpollRuntime::EndpointPtr EpollRuntime::find(EndpointId id) const {
@@ -249,9 +197,7 @@ Status EpollRuntime::post(Envelope env) {
   const net::LatencyClass cls = topology_.classify(src->host, dst->host);
   if (faults_.any_faults()) {
     // Fault checks need the shared RNG; skip the lock entirely on the
-    // (common) fault-free configuration. Consulting the plan here — unlike
-    // TcpRuntime — lets recovery/partition experiments run over real
-    // sockets.
+    // (common) fault-free configuration.
     base::MutexLock lock(rng_mutex_);
     if (faults_.should_drop(src->host, dst->host, cls, rng_)) {
       transport_.dropped.inc();
@@ -259,63 +205,35 @@ Status EpollRuntime::post(Envelope env) {
     }
   }
 
-  Status st = pool_.send(dst->host.value, env);
-  if (!st.ok()) return st;
-
+  const std::size_t bytes = env.payload.size();
+  bool sched = false;
+  {
+    base::MutexLock lock(dst->mutex);
+    if (dst->stopping) {
+      // Lost the race with close_endpoint: the caller learns it now.
+      return StaleBindingError("destination endpoint closing");
+    }
+    dst->stats.received += 1;
+    dst->stats.bytes_received += bytes;
+    env.queued_at = now();  // enqueue stamp: queue time = dequeue - this
+    dst->inbox.push_back(std::move(env));
+    ++dst->wakeups;
+    if (dst->mode == ExecutionMode::kServiced &&
+        dst->mstate == MailboxState::kIdle) {
+      dst->mstate = MailboxState::kScheduled;
+      sched = true;
+    }
+  }
   {
     base::MutexLock lock(src->mutex);
     src->stats.sent += 1;
-    src->stats.bytes_sent += env.payload.size();
+    src->stats.bytes_sent += bytes;
   }
   transport_.delivered.inc();
   transport_.by_class[static_cast<std::size_t>(cls)]->inc();
+  dst->cv.notify_all();
+  if (sched) schedule(dst);
   return OkStatus();
-}
-
-// Reactor -> mailbox handoff: stamp, count, and schedule if the mailbox was
-// idle.
-void EpollRuntime::enqueue(Envelope env) {
-  EndpointPtr ep = find(env.dst);
-  bool accepted = false;
-  bool sched = false;
-  if (ep && ep->alive.load()) {
-    base::MutexLock lock(ep->mutex);
-    if (!ep->stopping) {
-      accepted = true;
-      ep->stats.received += 1;
-      ep->stats.bytes_received += env.payload.size();
-      env.queued_at = now();  // enqueue stamp: queue time = dequeue - this
-      ep->inbox.push_back(std::move(env));
-      ++ep->wakeups;
-      if (ep->mode == ExecutionMode::kServiced &&
-          ep->mstate == MailboxState::kIdle) {
-        ep->mstate = MailboxState::kScheduled;
-        sched = true;
-      }
-    }
-  }
-  if (!accepted) return bounce(std::move(env));
-  ep->cv.notify_all();
-  if (sched) schedule(ep);
-}
-
-// A frame that raced close_endpoint after post() accepted it: return the
-// payload to the sender as a transport-level NACK, exactly as
-// SimRuntime::deliver does, so its Messenger fails the call with
-// kStaleBinding now rather than kTimeout at the deadline. Every endpoint is
-// in this process, so the bounce goes straight to the sender's mailbox.
-void EpollRuntime::bounce(Envelope env) {
-  if (env.kind != DeliveryKind::kData) return;  // never bounce a bounce
-  EndpointPtr src = find(env.src);
-  if (!src || !src->alive.load()) return;  // nobody left to tell
-  transport_.bounced.inc();
-  Envelope back{env.dst, env.src, DeliveryKind::kBounce,
-                std::move(env.payload)};
-  back.trace_id = env.trace_id;  // keep the NACK attributable
-  back.hop = env.hop;
-  back.span_id = env.span_id;
-  back.parent_span_id = env.parent_span_id;
-  enqueue(std::move(back));
 }
 
 void EpollRuntime::schedule(const EndpointPtr& ep) {
@@ -510,7 +428,8 @@ bool EpollRuntime::wait(EndpointId self, const std::function<bool()>& ready,
 
 void EpollRuntime::run_until_idle() {
   // Best-effort settle: inboxes empty and every mailbox back to kIdle twice
-  // in a row (in-flight frames land between probes).
+  // in a row (a handler finishing mid-sweep may have posted to a mailbox the
+  // sweep already passed).
   for (int calm = 0; calm < 2;) {
     bool busy = false;
     {
@@ -528,187 +447,6 @@ void EpollRuntime::run_until_idle() {
     calm = busy ? 0 : calm + 1;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Reactor: the one thread that touches epoll, every listener, and every
-// accepted stream.
-
-void EpollRuntime::post_control(ControlOp op) {
-  {
-    base::MutexLock lock(reactor_mutex_);
-    control_ops_.push_back(op);
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
-}
-
-void EpollRuntime::reactor_loop() {
-  // Per-stream incremental frame parser. All of this state is owned by the
-  // reactor thread alone — no locks anywhere on the read path.
-  struct Conn {
-    std::size_t have = 0;  // bytes of the current header/payload read so far
-    std::uint32_t payload_len = 0;
-    bool in_payload = false;
-    std::uint8_t header[kFrameHeaderBytes];
-    std::vector<std::uint8_t> payload;
-    Envelope env;
-  };
-  std::unordered_map<int, Conn> conns;
-  std::unordered_set<int> listeners;
-  std::vector<int> parked;  // listeners pulled from epoll under fd pressure
-  auto rearm_at = std::chrono::steady_clock::time_point::max();
-
-  // Reads every complete frame currently buffered in the socket; returns
-  // false when the stream is finished (EOF, error, corrupt frame).
-  auto drain = [this](int fd, Conn& c) -> bool {
-    for (;;) {
-      std::uint8_t* buf;
-      std::size_t want;
-      if (!c.in_payload) {
-        buf = c.header + c.have;
-        want = kFrameHeaderBytes - c.have;
-      } else {
-        buf = c.payload.data() + c.have;
-        want = c.payload_len - c.have;
-      }
-      const ssize_t got = ::read(fd, buf, want);
-      if (got < 0) {
-        if (errno == EINTR) {
-          io_retries_.inc();
-          continue;
-        }
-        return errno == EAGAIN || errno == EWOULDBLOCK;
-      }
-      if (got == 0) return false;  // peer closed (pool reap, shutdown)
-      c.have += static_cast<std::size_t>(got);
-      if (c.have < (c.in_payload ? c.payload_len : kFrameHeaderBytes)) {
-        continue;  // partial read: come back on the next EPOLLIN
-      }
-      if (!c.in_payload) {
-        c.payload_len = DecodeFrameHeader(c.header, c.env);
-        c.have = 0;
-        if (c.payload_len > kMaxFrameBytes) return false;  // hostile/corrupt
-        if (c.payload_len > 0) {
-          c.payload.resize(c.payload_len);
-          c.in_payload = true;
-          continue;
-        }
-      } else {
-        c.env.payload = Buffer{std::move(c.payload)};
-        c.payload = std::vector<std::uint8_t>{};
-        c.in_payload = false;
-        c.have = 0;
-      }
-      enqueue(std::move(c.env));
-      c.env = Envelope{};
-    }
-  };
-
-  bool running = true;
-  epoll_event events[128];
-  while (running) {
-    int timeout_ms = -1;
-    if (!parked.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= rearm_at) {
-        for (int fd : parked) {
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = fd;
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-        }
-        parked.clear();
-        rearm_at = std::chrono::steady_clock::time_point::max();
-      } else {
-        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-            rearm_at - now);
-        timeout_ms = std::max<int>(1, static_cast<int>(left.count()));
-      }
-    }
-    const int n = ::epoll_wait(epoll_fd_, events, 128, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) {
-        io_retries_.inc();
-        continue;
-      }
-      break;  // epoll fd itself is broken: nothing sane left to do
-    }
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        std::uint64_t v;
-        while (::read(wake_fd_, &v, sizeof v) > 0) {
-        }
-        std::vector<ControlOp> ops;
-        {
-          base::MutexLock lock(reactor_mutex_);
-          ops.swap(control_ops_);
-        }
-        for (const ControlOp& op : ops) {
-          switch (op.kind) {
-            case ControlOp::Kind::kAddListener: {
-              listeners.insert(op.fd);
-              epoll_event ev{};
-              ev.events = EPOLLIN;
-              ev.data.fd = op.fd;
-              ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, op.fd, &ev);
-              break;
-            }
-            case ControlOp::Kind::kStop:
-              running = false;
-              break;
-          }
-        }
-      } else if (listeners.contains(fd)) {
-        // Accept everything queued. The error discipline mirrors the fixed
-        // TcpRuntime acceptor: transient failures must never deafen a host.
-        for (;;) {
-          const int conn =
-              ::accept4(fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-          if (conn < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-            if (errno == EINTR) {
-              io_retries_.inc();
-              continue;
-            }
-            if (errno == ECONNABORTED) {
-              accept_retries_.inc();
-              continue;  // peer hung up while queued: their loss only
-            }
-            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-                errno == ENOMEM) {
-              // fd pressure: park the listener and retry shortly. Pending
-              // connections wait in the (deep) backlog meanwhile.
-              accept_retries_.inc();
-              ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-              parked.push_back(fd);
-              rearm_at = std::min(
-                  rearm_at, std::chrono::steady_clock::now() + kAcceptBackoff);
-              break;
-            }
-            break;  // unexpected (listener shut down mid-poll)
-          }
-          conns.emplace(conn, Conn{});
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = conn;
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn, &ev);
-        }
-      } else {
-        auto it = conns.find(fd);
-        if (it == conns.end()) continue;  // already closed this round
-        if (!drain(fd, it->second)) {
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-          ::close(fd);
-          conns.erase(it);
-        }
-      }
-    }
-  }
-  for (auto& [fd, _] : conns) ::close(fd);
-  for (int fd : listeners) ::close(fd);
-  for (int fd : parked) ::close(fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,18 @@
-// M:N event-driven runtime: one epoll reactor, a fixed work-stealing worker
-// pool, and per-endpoint actor mailboxes.
+// M:N in-process runtime: a fixed work-stealing worker pool and
+// per-endpoint actor mailboxes, with delivery straight into memory.
 //
 // ThreadRuntime spends one OS thread per serviced endpoint and TcpRuntime
 // adds one acceptor plus one reader thread per accepted connection — both
 // hit the kernel's thread ceiling orders of magnitude before the paper's
 // "millions of objects" target. Here threads are decoupled from objects:
 //
-//   * A single *reactor* thread owns every socket. Per-HOST nonblocking
-//     Unix-domain listeners (per-endpoint listeners would cost an fd per
-//     object and cannot reach 1M objects) are accepted and read with epoll;
-//     complete frames (rt/frame.hpp, identical wire format to TcpRuntime
-//     and ProcessRuntime) are routed to the destination endpoint's mailbox
-//     by the env.dst header field. A frame whose destination closed after
-//     post() accepted it goes back to its sender as kBounce, as in
-//     SimRuntime.
+//   * post() hands the envelope to the destination's mailbox on the
+//     posting thread. Under the mailbox lock it fails with kStaleBinding if
+//     the destination is closing (the verdict is synchronous, so nothing is
+//     ever bounced), otherwise stamps queued_at, counts, appends and, if the
+//     mailbox was idle, schedules it. Objects stay address-space-disjoint
+//     because the Messenger marshals every payload into a Buffer; no socket
+//     is needed for that. A sender's posts reach a destination in post order.
 //   * A fixed pool of *workers* (default: hardware_concurrency) drains
 //     mailboxes. Each endpoint is a tiny actor: kIdle until a message
 //     arrives, then kScheduled on a run queue, then kRunning on exactly one
@@ -27,45 +26,33 @@
 //     behind awaiting handlers — essential on small machines where the pool
 //     may be a single worker.
 //
-// Every endpoint lives in this process, so the sockets are Unix-domain
-// streams, not TCP loopback: a same-host hop gains nothing from the TCP
-// stack but its cost. The host listeners are `ep-<host id>.sock` in a
-// private directory (SocketDir: mkdtemp, mode 0700 — only the owning uid can
-// inject frames) that the runtime creates at construction and removes at
-// teardown.
+// The runtime opens no file descriptor and owns no thread but its workers.
+// The fault plan is consulted on post like ThreadRuntime's, so recovery
+// experiments (host down, partitions, lossy classes) run unchanged.
 //
-// Sending reuses the shared ConnPool (MRU reuse, idle reap, reconnect-once,
-// ENOENT/ECONNREFUSED -> kStaleBinding, fd exhaustion -> kUnavailable), so
-// posting semantics — including the failure classification the Section
-// 4.1.4 repair loop depends on — are those of the other socket runtimes. The
-// fault plan is consulted on post like ThreadRuntime's, so recovery
-// experiments (host down, partitions, lossy classes) run unchanged over real
-// sockets.
+// The name is historical: this runtime used to move every message through
+// an epoll reactor and a socket back into its own process. It keeps the name
+// and this header because legion-bench constructs rt::EpollRuntime.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/mutex.hpp"
 #include "base/rng.hpp"
 #include "base/thread_annotations.hpp"
-#include "rt/conn_pool.hpp"
 #include "rt/runtime.hpp"
-#include "rt/socket_util.hpp"
 
 namespace legion::rt {
 
 struct EpollOptions {
-  // Client-socket pooling and listener tuning, shared with the other socket
-  // runtimes.
-  TcpOptions tcp;
   // Fixed worker-pool size; 0 = std::thread::hardware_concurrency(). The
   // pool may temporarily exceed this with spares spawned while workers
   // block in wait() (bounded at 16x).
@@ -78,9 +65,6 @@ class EpollRuntime final : public Runtime {
  public:
   EpollRuntime();
   explicit EpollRuntime(EpollOptions options);
-  // Convenience: TcpRuntime-shaped construction for transport-parameterized
-  // tests (pool knobs, backlog) with default worker sizing.
-  explicit EpollRuntime(TcpOptions tcp);
   ~EpollRuntime() override;
 
   EndpointId create_endpoint(HostId host, std::string label,
@@ -105,21 +89,9 @@ class EpollRuntime final : public Runtime {
       const std::string& label) const override;
   void reset_stats() override;
 
-  // The Unix-domain socket path an endpoint receives on — its HOST's
-  // listener (endpoints share their host's listener; frames are
-  // demultiplexed by the dst header field). "" for an unknown endpoint.
-  [[nodiscard]] std::string listener_path(EndpointId id) const;
-  // The private directory holding every host listener.
-  [[nodiscard]] const std::string& socket_dir() const {
-    return socket_dir_.path();
-  }
-
-  [[nodiscard]] const TcpOptions& options() const { return options_.tcp; }
-
-  // Threads the runtime currently owns: reactor + workers (spares
-  // included). bench_epoll_scaling reports this against the endpoint count;
-  // it is the whole point of the M:N design that it does not scale with
-  // endpoints.
+  // Threads the runtime currently owns: its workers (spares included).
+  // bench_epoll_scaling reports this against the endpoint count; it is the
+  // whole point of the M:N design that it does not scale with endpoints.
   [[nodiscard]] std::size_t runtime_threads() const;
 
  private:
@@ -166,13 +138,6 @@ class EpollRuntime final : public Runtime {
     std::thread thread;
   };
 
-  // Socket registrations handed to the reactor thread (it alone touches
-  // epoll) alongside an eventfd kick.
-  struct ControlOp {
-    enum class Kind : std::uint8_t { kAddListener, kStop } kind;
-    int fd = -1;
-  };
-
   EndpointPtr find(EndpointId id) const;
   static bool pop_one(const EndpointPtr& ep, Envelope& out);
 
@@ -186,28 +151,10 @@ class EpollRuntime final : public Runtime {
   // pool so it can compensate with a spare and the system keeps draining.
   class BlockedScope;
 
-  // --- reactor ---
-  void reactor_loop();
-  void post_control(ControlOp op);
-  void enqueue(Envelope env);  // reactor -> mailbox handoff
-  void bounce(Envelope env);   // enqueue() found the destination closed
-
-  const EpollOptions options_;
-
   mutable base::SharedMutex map_mutex_{base::lock_rank::kEndpointMap};
   std::unordered_map<std::uint64_t, EndpointPtr> endpoints_
       GUARDED_BY(map_mutex_);
   std::uint64_t next_endpoint_ GUARDED_BY(map_mutex_) = 1;
-
-  // Holds the host listeners. Declared before pool_, which dials into it,
-  // and removed only after teardown closed every socket.
-  const SocketDir socket_dir_;
-
-  // Hosts whose shared listener is bound (lazily, on the host's first
-  // endpoint) at ConnPool::UnixSocketPath(socket_dir_, host id).
-  base::Mutex listeners_mutex_{base::lock_rank::kListeners};
-  std::unordered_set<std::uint32_t> listening_hosts_
-      GUARDED_BY(listeners_mutex_);
 
   // Worker pool. `workers_` only grows (spares are kept until teardown);
   // elements are stable unique_ptrs so lock-free readers of a Worker* are
@@ -217,34 +164,17 @@ class EpollRuntime final : public Runtime {
   std::size_t blocked_workers_ GUARDED_BY(pool_mutex_) = 0;
   std::size_t target_workers_ = 0;  // immutable after construction
 
-  // Injector queue for submissions from non-worker threads (the reactor,
-  // external posters) plus the sleep/wake epoch for idle workers.
+  // Injector queue for submissions from non-worker threads (external
+  // posters) plus the sleep/wake epoch for idle workers.
   base::Mutex sched_mutex_{base::lock_rank::kScheduler};
   base::CondVar sched_cv_;
   std::deque<EndpointPtr> injector_ GUARDED_BY(sched_mutex_);
   std::uint64_t sched_epoch_ GUARDED_BY(sched_mutex_) = 0;
   bool sched_stopping_ GUARDED_BY(sched_mutex_) = false;
 
-  // Reactor control: ops + eventfd kick. The reactor drains ops whenever
-  // the eventfd fires.
-  base::Mutex reactor_mutex_{base::lock_rank::kReactorControl};
-  std::vector<ControlOp> control_ops_ GUARDED_BY(reactor_mutex_);
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  std::thread reactor_;
-
   base::Mutex rng_mutex_{base::lock_rank::kRng};
   Rng rng_ GUARDED_BY(rng_mutex_);
 
-  // Client-side connection pool, keyed by destination host id. Its metrics
-  // keep TcpRuntime's rt.tcp.* names, which legion-bench reads.
-  ConnPool pool_{options_.tcp, metrics_,
-                 ConnPool::UnixDialer(socket_dir_.path())};
-
-  obs::Counter& io_retries_{metrics_.counter("rt.eintr_retries")};
-  // accept() failures survived without deafening a host listener
-  // (ECONNABORTED retries, fd-exhaustion backoffs).
-  obs::Counter& accept_retries_{metrics_.counter("rt.tcp.accept_retries")};
   // Spare workers spawned to cover blocked ones (wakeups visible in tests
   // exercising deep nested call chains).
   obs::Counter& spares_spawned_{metrics_.counter("rt.epoll.spare_workers")};

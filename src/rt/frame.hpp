@@ -5,10 +5,9 @@
 // self-delimiting, so any number of them multiplex over one persistent
 // stream. (queued_at is receiver-local and deliberately NOT on the wire.)
 //
-// TcpRuntime's per-connection reader threads (TCP loopback), EpollRuntime's
-// reactor and ProcessRuntime's readers (Unix-domain streams) parse the
-// identical 49-byte header, so the transports are wire compatible by
-// construction.
+// TcpRuntime's per-connection reader threads (TCP loopback) and
+// ProcessRuntime's readers (Unix-domain streams) parse the identical 49-byte
+// header, so the transports are wire compatible by construction.
 #pragma once
 
 #include <cstddef>

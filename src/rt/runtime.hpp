@@ -13,9 +13,9 @@
 //                      concurrency.
 //   * TcpRuntime     — a TCP loopback listener per endpoint and a reader
 //                      thread per accepted connection (rt/tcp_runtime.hpp).
-//   * EpollRuntime   — M:N: one epoll reactor over per-host Unix-domain
-//                      listeners, a work-stealing worker pool and
-//                      per-endpoint actor mailboxes (rt/epoll_runtime.hpp).
+//   * EpollRuntime   — M:N: a work-stealing worker pool draining
+//                      per-endpoint actor mailboxes that post() fills in
+//                      memory; no sockets (rt/epoll_runtime.hpp).
 //   * ProcessRuntime — one OS process per object, Unix-domain sockets
 //                      between them (rt/process_runtime.hpp).
 //

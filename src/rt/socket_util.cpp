@@ -1,7 +1,6 @@
 #include "rt/socket_util.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -121,12 +120,6 @@ int DialUnix(const std::string& path) {
 
 int AcceptConn(int listen_fd) {
   return ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-}
-
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
 // A signal landing mid-transfer interrupts the syscall with EINTR; that is

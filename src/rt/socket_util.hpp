@@ -1,13 +1,12 @@
 // Socket helpers shared by the socket-backed runtimes.
 //
-// TcpRuntime (thread-per-connection, TCP loopback), EpollRuntime (reactor,
-// Unix-domain sockets) and ProcessRuntime (one child process per object,
-// Unix-domain sockets) create listeners, dial peers, and move whole frames;
-// centralizing the syscall loops keeps the EINTR/EAGAIN/partial-transfer
-// handling — and the listener socket options (SO_REUSEADDR on TCP,
-// configurable backlog, close-on-exec) — identical in all of them. The two
-// Unix-domain runtimes also share SocketDir, the private directory their
-// socket files live in.
+// TcpRuntime (thread-per-connection, TCP loopback) and ProcessRuntime (one
+// child process per object, Unix-domain sockets) create listeners, dial
+// peers, and move whole frames; centralizing the syscall loops keeps the
+// EINTR/EAGAIN/partial-transfer handling — and the listener socket options
+// (SO_REUSEADDR on TCP, configurable backlog, close-on-exec) — identical in
+// both. SocketDir is the private directory ProcessRuntime's socket files
+// live in.
 //
 // Every socket created here is close-on-exec. ProcessRuntime fork/execs a
 // worker per object; without CLOEXEC the child would inherit the parent's
@@ -80,9 +79,6 @@ class SocketDir {
 // accept(2) with close-on-exec set atomically (accept4). Returns the
 // accepted fd or -1 with errno preserved.
 [[nodiscard]] int AcceptConn(int listen_fd);
-
-// Sets O_NONBLOCK; returns false (errno preserved) on failure.
-bool SetNonBlocking(int fd);
 
 // Reads exactly `n` bytes, retrying EINTR (counted in `retries`). False on
 // EOF or error. For blocking sockets only.

@@ -14,7 +14,7 @@
 // one reader thread per connection. The historical one-connection-per-message
 // path survives behind TcpOptions::pooled = false as the measured ablation
 // baseline (bench_tcp_throughput, EXPERIMENTS E11). EpollRuntime
-// (rt/epoll_runtime.hpp) is the M:N reactor answer to this design's
+// (rt/epoll_runtime.hpp) is the M:N in-memory answer to this design's
 // thread-per-connection and thread-per-endpoint scaling walls.
 #pragma once
 
@@ -121,7 +121,7 @@ class TcpRuntime final : public Runtime {
       GUARDED_BY(map_mutex_);
   std::uint64_t next_endpoint_ GUARDED_BY(map_mutex_) = 1;
 
-  // Client-side connection pool, shared implementation with EpollRuntime.
+  // Client-side connection pool, shared implementation with ProcessRuntime.
   ConnPool pool_{options_, metrics_, ConnPool::LoopbackDialer()};
 
   // Syscalls retried after an EINTR interruption (regression visibility for

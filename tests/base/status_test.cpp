@@ -30,6 +30,11 @@ struct NamedCodeCase {
   std::string_view name;
 };
 
+// Without a printer gtest dumps the struct's bytes, the string_view pointer
+// included, and gtest_discover_tests turns that dump into the ctest name —
+// which then changes on every build. Print the name instead.
+void PrintTo(const NamedCodeCase& c, std::ostream* os) { *os << c.name; }
+
 class StatusCodeNames : public ::testing::TestWithParam<NamedCodeCase> {};
 
 TEST_P(StatusCodeNames, EveryCodeHasDistinctName) {

@@ -1,16 +1,12 @@
-// The M:N event-driven runtime: per-host shared Unix-domain listeners in a
-// private socket directory, a fixed work-stealing worker pool with
-// blocked-worker compensation, and frames demultiplexed by the reactor —
-// same wire format and posting semantics as the other socket runtimes, a
-// constant number of threads regardless of endpoint count.
+// The M:N in-process runtime: post() delivers straight into the
+// destination's mailbox, a fixed work-stealing worker pool with
+// blocked-worker compensation drains the mailboxes, and the thread count is
+// constant regardless of endpoint count. No sockets, no reactor.
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -18,11 +14,8 @@
 
 #include "core/system.hpp"
 #include "core/well_known.hpp"
-#include "rt/conn_pool.hpp"
 #include "rt/epoll_runtime.hpp"
-#include "rt/frame.hpp"
 #include "rt/messenger.hpp"
-#include "rt/socket_util.hpp"
 #include "sim/sample_objects.hpp"
 
 namespace legion::rt {
@@ -30,23 +23,25 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Writes one well-formed frame straight onto a connected socket, bypassing
-// post() and its liveness checks.
-void WriteFrame(int fd, const Envelope& env) {
-  std::uint8_t header[kFrameHeaderBytes];
-  EncodeFrameHeader(env, header);
-  ASSERT_EQ(::write(fd, header, sizeof header),
-            static_cast<ssize_t>(sizeof header));
-  if (!env.payload.empty()) {
-    ASSERT_EQ(::write(fd, env.payload.data(), env.payload.size()),
-              static_cast<ssize_t>(env.payload.size()));
-  }
-}
-
 std::size_t CountEntries(const fs::path& dir) {
   std::size_t n = 0;
   for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir)) ++n;
   return n;
+}
+
+// Descriptors this process holds right now.
+std::size_t OpenFds() { return CountEntries("/proc/self/fd"); }
+
+// Polls `done` until it holds or ten seconds pass.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return done();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 class EpollRuntimeTest : public ::testing::Test {
@@ -59,27 +54,6 @@ class EpollRuntimeTest : public ::testing::Test {
 
   HostId h1_, h2_;
 };
-
-// Endpoints do not own sockets: they share their host's listener. This is
-// what makes a million resident objects possible (a listener per object
-// would cost an fd per object).
-TEST_F(EpollRuntimeTest, EndpointsShareTheirHostListener) {
-  EpollRuntime rt;
-  MakeTopology(rt);
-  const EndpointId a = rt.create_endpoint(h1_, "a", [](Envelope&&) {},
-                                          ExecutionMode::kServiced);
-  const EndpointId b = rt.create_endpoint(h1_, "b", [](Envelope&&) {},
-                                          ExecutionMode::kServiced);
-  const EndpointId c = rt.create_endpoint(h2_, "c", [](Envelope&&) {},
-                                          ExecutionMode::kServiced);
-  EXPECT_FALSE(rt.listener_path(a).empty());
-  EXPECT_EQ(rt.listener_path(a), rt.listener_path(b));
-  EXPECT_NE(rt.listener_path(a), rt.listener_path(c));
-  EXPECT_EQ(fs::path(rt.listener_path(a)).parent_path(), rt.socket_dir());
-  EXPECT_TRUE(fs::is_socket(rt.listener_path(a)));
-  EXPECT_TRUE(fs::is_socket(rt.listener_path(c)));
-  EXPECT_EQ(rt.listener_path(EndpointId{9999}), "");
-}
 
 TEST_F(EpollRuntimeTest, MessengerRoundTripOverEpoll) {
   EpollRuntime rt;
@@ -127,8 +101,8 @@ TEST_F(EpollRuntimeTest, NestedCallsCompensateBlockedWorkers) {
   EXPECT_GE(rt.metrics().counter("rt.epoll.spare_workers").value(), 1u);
 }
 
-// Exercises the reactor's incremental frame parser: payloads far larger
-// than any single nonblocking read arrive intact.
+// A payload far larger than any socket buffer arrives intact: the
+// marshalled Buffer moves into the callee's mailbox whole.
 TEST_F(EpollRuntimeTest, LargePayloadSurvivesFraming) {
   EpollRuntime rt;
   MakeTopology(rt);
@@ -165,7 +139,7 @@ TEST_F(EpollRuntimeTest, ClosedEndpointIsStaleBinding) {
 }
 
 // The M:N invariant itself: ten thousand resident serviced endpoints, and
-// the runtime's thread count stays workers + reactor. (ThreadRuntime would
+// the runtime's thread count stays the worker pool. (ThreadRuntime would
 // need ten thousand threads; TcpRuntime ten thousand listener fds plus a
 // thread per accepted stream.)
 TEST_F(EpollRuntimeTest, ThousandsOfIdleEndpointsCostNoThreads) {
@@ -182,7 +156,7 @@ TEST_F(EpollRuntimeTest, ThousandsOfIdleEndpointsCostNoThreads) {
                                      ExecutionMode::kServiced));
     ASSERT_TRUE(eps.back().valid());
   }
-  EXPECT_EQ(rt.runtime_threads(), 3u);  // 2 workers + 1 reactor
+  EXPECT_EQ(rt.runtime_threads(), 2u);  // the 2 workers, nothing else
 
   // The population is live, not decorative: any member delivers.
   const EndpointId src =
@@ -197,11 +171,11 @@ TEST_F(EpollRuntimeTest, ThousandsOfIdleEndpointsCostNoThreads) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(rt.endpoint_stats(probe).received, 1u);
-  EXPECT_EQ(rt.runtime_threads(), 3u);  // plain delivery never blocks
+  EXPECT_EQ(rt.runtime_threads(), 2u);  // plain delivery never blocks
 }
 
 // Unlike TcpRuntime, the fault plan is consulted on post (like
-// ThreadRuntime): recovery and partition experiments run over real sockets.
+// ThreadRuntime): recovery and partition experiments run unchanged.
 TEST_F(EpollRuntimeTest, FaultPlanDropsPostsOverRealSockets) {
   EpollRuntime rt;
   MakeTopology(rt);
@@ -231,25 +205,10 @@ TEST_F(EpollRuntimeTest, FaultPlanDropsPostsOverRealSockets) {
   EXPECT_EQ(rt.endpoint_stats(sink).received, 1u);
 }
 
-TEST_F(EpollRuntimeTest, ListenBacklogOptionIsPlumbed) {
-  TcpOptions tcp;
-  tcp.listen_backlog = 8;
-  EpollRuntime rt(tcp);
-  EXPECT_EQ(rt.options().listen_backlog, 8);
-  MakeTopology(rt);
-  const EndpointId a = rt.create_endpoint(h1_, "a", [](Envelope&&) {},
-                                          ExecutionMode::kServiced);
-  // The listener bound with that backlog accepts at its advertised path.
-  const int fd = DialUnix(rt.listener_path(a));
-  ASSERT_GE(fd, 0) << std::strerror(errno);
-  ::close(fd);
-}
-
-// A frame that raced close_endpoint after post() accepted it is bounced to
-// its sender (as SimRuntime does), so the caller's Messenger sees
-// kStaleBinding at once instead of timing out. The race is forced by
-// writing the frame straight onto the host listener after the close.
-TEST_F(EpollRuntimeTest, FrameForClosedDestinationBouncesToSender) {
+// post() gives its verdict synchronously: a post to a closed destination
+// fails with kStaleBinding at once, is not counted as sent or delivered, and
+// nothing comes back to the sender later as a bounce.
+TEST_F(EpollRuntimeTest, PostToClosedDestinationFailsSynchronously) {
   EpollRuntime rt;
   MakeTopology(rt);
   std::vector<Envelope> got;
@@ -258,93 +217,163 @@ TEST_F(EpollRuntimeTest, FrameForClosedDestinationBouncesToSender) {
       ExecutionMode::kDriver);
   const EndpointId b = rt.create_endpoint(h1_, "b", [](Envelope&&) {},
                                           ExecutionMode::kServiced);
-  const EndpointId gone =
-      rt.create_endpoint(h1_, "gone", nullptr, ExecutionMode::kDriver);
-  const std::string listener = rt.listener_path(b);
   rt.close_endpoint(b);
-  rt.close_endpoint(gone);
 
-  const int fd = DialUnix(listener);
-  ASSERT_GE(fd, 0) << std::strerror(errno);
-  // From a closed source: nobody to bounce to, so it is dropped.
-  WriteFrame(fd, Envelope{gone, b, DeliveryKind::kData,
-                          Buffer::FromString("orphan")});
-  Envelope data{a, b, DeliveryKind::kData, Buffer::FromString("payload")};
-  data.trace_id = 7;
-  data.span_id = 11;
-  data.parent_span_id = 5;
-  WriteFrame(fd, data);
-
-  // Same stream, so by the time a's bounce arrives the orphan frame has
-  // been handled too.
-  EXPECT_TRUE(rt.wait(a, [&] { return !got.empty(); }, 10'000'000));
-  ::close(fd);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].kind, DeliveryKind::kBounce);
-  EXPECT_EQ(got[0].src, b);
-  EXPECT_EQ(got[0].dst, a);
-  EXPECT_EQ(got[0].payload.as_string(), "payload");
-  EXPECT_EQ(got[0].trace_id, 7u);
-  EXPECT_EQ(got[0].span_id, 11u);
-  EXPECT_EQ(got[0].parent_span_id, 5u);
-  EXPECT_EQ(rt.stats().bounced, 1u);
-  // A bounce is never bounced: nothing further arrives.
-  EXPECT_FALSE(rt.wait(a, [&] { return got.size() > 1; }, 50'000));
-}
-
-// Each runtime owns a distinct private directory for its host listeners.
-TEST_F(EpollRuntimeTest, EachRuntimeOwnsAPrivateSocketDirectory) {
-  EpollRuntime one;
-  EpollRuntime two;
-  ASSERT_FALSE(one.socket_dir().empty());
-  ASSERT_FALSE(two.socket_dir().empty());
-  EXPECT_NE(one.socket_dir(), two.socket_dir());
-  for (const std::string& dir : {one.socket_dir(), two.socket_dir()}) {
-    struct stat st{};
-    ASSERT_EQ(::stat(dir.c_str(), &st), 0) << dir;
-    EXPECT_TRUE(S_ISDIR(st.st_mode));
-    EXPECT_EQ(st.st_mode & 0777, 0700u) << dir;
-    EXPECT_EQ(st.st_uid, ::getuid());
-  }
-
-  // Same host id in both runtimes, two different listeners.
-  MakeTopology(one);
-  const HostId h1_one = h1_;
-  MakeTopology(two);
-  const EndpointId a = one.create_endpoint(h1_one, "a", [](Envelope&&) {},
-                                           ExecutionMode::kServiced);
-  const EndpointId b = two.create_endpoint(h1_, "b", [](Envelope&&) {},
-                                           ExecutionMode::kServiced);
-  EXPECT_NE(one.listener_path(a), two.listener_path(b));
-}
-
-// Teardown removes every socket file and the directory itself; dialing the
-// dead listener afterwards is a stale binding, not a hang or kUnavailable.
-TEST_F(EpollRuntimeTest, TeardownRemovesSocketDirectory) {
-  std::string dir;
-  std::string listener;
-  {
-    EpollRuntime rt;
-    MakeTopology(rt);
-    const EndpointId a = rt.create_endpoint(h1_, "a", [](Envelope&&) {},
-                                            ExecutionMode::kServiced);
-    rt.create_endpoint(h2_, "b", [](Envelope&&) {}, ExecutionMode::kServiced);
-    dir = rt.socket_dir();
-    listener = rt.listener_path(a);
-    EXPECT_EQ(CountEntries(dir), 2u);  // one listener per host
-  }
-  EXPECT_FALSE(fs::exists(listener));
-  EXPECT_FALSE(fs::exists(dir));
-
-  ASSERT_EQ(listener, ConnPool::UnixSocketPath(dir, h1_.value));
-  obs::Registry registry;
-  ConnPool pool(TcpOptions{}, registry, ConnPool::UnixDialer(dir));
-  EXPECT_EQ(pool.send(h1_.value, Envelope{}).code(),
+  EXPECT_EQ(rt.post(Envelope{a, b, DeliveryKind::kData,
+                             Buffer::FromString("payload")})
+                .code(),
             StatusCode::kStaleBinding);
+  EXPECT_FALSE(rt.wait(a, [&] { return !got.empty(); }, 50'000));
+  EXPECT_EQ(rt.stats().bounced, 0u);
+  EXPECT_EQ(rt.stats().delivered, 0u);
+  EXPECT_EQ(rt.endpoint_stats(a).sent, 0u);
 }
 
-// Creating and destroying many runtimes leaves the temporary directory as
-// it was. TMPDIR points at a fresh directory so parallel tests cannot
+// A conversation whose callee closes between calls: every call either
+// completes or fails with kStaleBinding at once — never kTimeout at the
+// deadline. A request post() accepted before the close is drained by
+// close_endpoint and answered; one posted after it is refused.
+TEST_F(EpollRuntimeTest, CalleeClosingMidConversationFailsFastWithStaleBinding) {
+  EpollRuntime rt;
+  MakeTopology(rt);
+  auto server = std::make_unique<Messenger>(
+      rt, h2_, "server", ExecutionMode::kServiced,
+      [](ServerContext&, Reader& args) -> Result<Buffer> {
+        return Buffer::FromString(args.str());
+      });
+  Messenger client(rt, h1_, "client", ExecutionMode::kDriver, nullptr);
+  const EndpointId callee = server->endpoint();
+
+  std::atomic<int> completed{0};
+  std::thread closer([&] {
+    while (completed.load() < 50) std::this_thread::yield();
+    server->close();
+  });
+  constexpr SimTime kDeadlineUs = 10'000'000;
+  Status failure;
+  for (int i = 0; i < 1'000'000 && failure.ok(); ++i) {
+    Buffer args;
+    Writer w(args);
+    w.str("ping");
+    const auto t0 = std::chrono::steady_clock::now();
+    auto reply = client.call(callee, "Echo", std::move(args),
+                             EnvTriple::System(), kDeadlineUs);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+    if (reply.ok()) {
+      EXPECT_EQ(reply->as_string(), "ping");
+      completed.fetch_add(1);
+    } else {
+      failure = reply.status();
+    }
+  }
+  closer.join();
+  EXPECT_GE(completed.load(), 50);
+  EXPECT_EQ(failure.code(), StatusCode::kStaleBinding) << failure.to_string();
+}
+
+// Posters race close/reopen of their destination. Every post is either
+// refused with kStaleBinding or handled: close_endpoint drains what post()
+// accepted, so no accepted message is lost or left in a dead inbox.
+TEST_F(EpollRuntimeTest, PostsSurviveEndpointCloseReopenRaces) {
+  EpollRuntime rt;
+  MakeTopology(rt);
+  const EndpointId src =
+      rt.create_endpoint(h1_, "src", nullptr, ExecutionMode::kDriver);
+
+  std::atomic<std::uint64_t> handled{0};
+  std::atomic<std::uint64_t> current{0};
+  auto reopen = [&] {
+    const EndpointId id = rt.create_endpoint(
+        h2_, "victim", [&](Envelope&&) { handled.fetch_add(1); },
+        ExecutionMode::kServiced);
+    current.store(id.value);
+    return id;
+  };
+  EndpointId victim = reopen();
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> ok_posts{0};
+  std::vector<std::thread> posters;
+  for (int t = 0; t < 4; ++t) {
+    posters.emplace_back([&] {
+      while (!stop.load()) {
+        const EndpointId dst{current.load()};
+        const Status st =
+            rt.post(Envelope{src, dst, DeliveryKind::kData, Buffer{}});
+        if (st.ok()) {
+          ok_posts.fetch_add(1);
+        } else {
+          EXPECT_EQ(st.code(), StatusCode::kStaleBinding) << st.to_string();
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 40; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    rt.close_endpoint(victim);
+    victim = reopen();
+  }
+  stop.store(true);
+  for (auto& t : posters) t.join();
+
+  EXPECT_GT(ok_posts.load(), 0u);
+  // The final incarnation still works.
+  EXPECT_TRUE(
+      rt.post(Envelope{src, victim, DeliveryKind::kData, Buffer{}}).ok());
+  rt.close_endpoint(victim);
+  EXPECT_EQ(handled.load(), ok_posts.load() + 1);
+}
+
+// Delivery is in memory: a thousand endpoints carrying ten thousand posts
+// open no descriptor, start no thread beyond the worker pool, and leave
+// nothing in TMPDIR.
+TEST_F(EpollRuntimeTest, DeliveryOpensNoDescriptorsThreadsOrFiles) {
+  char tmpl[] = "/tmp/legion-tmpdir.XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const char* saved = std::getenv("TMPDIR");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("TMPDIR", tmpl, 1);
+  const std::size_t fds_before = OpenFds();
+  {
+    EpollOptions options;
+    options.workers = 2;
+    EpollRuntime rt(options);
+    MakeTopology(rt);
+    const std::size_t threads = rt.runtime_threads();
+    EXPECT_EQ(threads, 2u);
+
+    constexpr std::uint64_t kEndpoints = 1'000;
+    constexpr std::uint64_t kPosts = 10'000;
+    std::atomic<std::uint64_t> handled{0};
+    std::vector<EndpointId> eps;
+    for (std::uint64_t i = 0; i < kEndpoints; ++i) {
+      eps.push_back(rt.create_endpoint(
+          h2_, "resident", [&](Envelope&&) { handled.fetch_add(1); },
+          ExecutionMode::kServiced));
+    }
+    const EndpointId src =
+        rt.create_endpoint(h1_, "src", nullptr, ExecutionMode::kDriver);
+    for (std::uint64_t i = 0; i < kPosts; ++i) {
+      const Status st = rt.post(
+          Envelope{src, eps[i % kEndpoints], DeliveryKind::kData, Buffer{}});
+      ASSERT_TRUE(st.ok()) << "post " << i << ": " << st.to_string();
+    }
+    EXPECT_TRUE(WaitFor([&] { return handled.load() == kPosts; }));
+    EXPECT_EQ(OpenFds(), fds_before);
+    EXPECT_EQ(rt.runtime_threads(), threads);
+    EXPECT_EQ(CountEntries(tmpl), 0u);
+  }
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  fs::remove_all(tmpl);
+}
+
+// Creating and destroying many runtimes, some carrying endpoints and posts,
+// leaves the temporary directory as it was: the runtime makes no socket
+// directory. TMPDIR points at a fresh directory so parallel tests cannot
 // disturb the count.
 TEST_F(EpollRuntimeTest, ThousandRuntimesLeaveTmpAsItWas) {
   char tmpl[] = "/tmp/legion-tmpdir.XXXXXX";
@@ -356,12 +385,17 @@ TEST_F(EpollRuntimeTest, ThousandRuntimesLeaveTmpAsItWas) {
     EpollOptions options;
     options.workers = 1;
     EpollRuntime rt(options);
-    EXPECT_EQ(fs::path(rt.socket_dir()).parent_path(), fs::path(tmpl));
     if (i % 100 == 0) {
-      // Some with a bound listener, most bare.
+      // Some with live endpoints and a delivered post, most bare.
       MakeTopology(rt);
-      rt.create_endpoint(h1_, "a", [](Envelope&&) {},
-                         ExecutionMode::kServiced);
+      const EndpointId sink = rt.create_endpoint(
+          h2_, "sink", [](Envelope&&) {}, ExecutionMode::kServiced);
+      const EndpointId src =
+          rt.create_endpoint(h1_, "src", nullptr, ExecutionMode::kDriver);
+      EXPECT_TRUE(
+          rt.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).ok());
+      EXPECT_TRUE(
+          WaitFor([&] { return rt.endpoint_stats(sink).received == 1; }));
     }
   }
   EXPECT_EQ(CountEntries(tmpl), 0u);
@@ -371,6 +405,45 @@ TEST_F(EpollRuntimeTest, ThousandRuntimesLeaveTmpAsItWas) {
     ::unsetenv("TMPDIR");
   }
   fs::remove_all(tmpl);
+}
+
+// Posts from one sender to one destination are handled in post order, as
+// they were when a single socket stream carried them.
+TEST_F(EpollRuntimeTest, PostsFromOneSenderAreHandledInPostOrder) {
+  EpollRuntime rt;
+  MakeTopology(rt);
+  constexpr std::uint64_t kPosts = 10'000;
+  // Written only by the sink's handler, which never runs concurrently with
+  // itself; read after `handled` shows every post.
+  std::vector<std::uint64_t> order;
+  order.reserve(kPosts);
+  std::atomic<std::uint64_t> handled{0};
+  const EndpointId sink = rt.create_endpoint(
+      h2_, "sink",
+      [&](Envelope&& env) {
+        Reader r(env.payload);
+        order.push_back(r.u64());
+        handled.fetch_add(1);
+      },
+      ExecutionMode::kServiced);
+  const EndpointId src =
+      rt.create_endpoint(h1_, "src", nullptr, ExecutionMode::kDriver);
+  for (std::uint64_t i = 0; i < kPosts; ++i) {
+    Buffer payload;
+    Writer w(payload);
+    w.u64(i);
+    ASSERT_TRUE(
+        rt.post(Envelope{src, sink, DeliveryKind::kData, std::move(payload)})
+            .ok());
+  }
+  ASSERT_TRUE(WaitFor([&] { return handled.load() == kPosts; }));
+  ASSERT_EQ(order.size(), kPosts);
+  for (std::uint64_t i = 0; i < kPosts; ++i) {
+    if (order[i] != i) {
+      ADD_FAILURE() << "position " << i << " holds post " << order[i];
+      break;
+    }
+  }
 }
 
 // The headline: the full Legion core bootstrapped over the M:N runtime.

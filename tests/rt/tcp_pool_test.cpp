@@ -2,10 +2,13 @@
 // keep-alive reuse, bounded fd usage under sustained load, connect-failure
 // classification (EMFILE is resource pressure, not a stale binding), and
 // pool consistency under endpoint close/reopen races (run under TSan in
-// CI). Typed over both in-process socket transports — TcpRuntime
-// (thread-per-connection, TCP loopback) and EpollRuntime (M:N reactor,
-// Unix-domain sockets) share the ConnPool sender, so every pool invariant
-// must hold identically for both.
+// CI). Typed over TcpRuntime (thread-per-connection, TCP loopback), whose
+// post goes through ConnPool as ProcessRuntime's does across processes, and
+// EpollRuntime, which delivers in memory and has no pool. For EpollRuntime
+// each case checks the property the pool exists to give instead of the
+// pool's own counters: no dial per message, a descriptor count that does
+// not grow, and delivery that fd exhaustion cannot turn into a stale
+// binding.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -15,7 +18,9 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "rt/epoll_runtime.hpp"
@@ -33,6 +38,19 @@ std::size_t OpenFds() {
     ++n;
   }
   return n;
+}
+
+// Whether RuntimeT sends through a ConnPool (and takes TcpOptions).
+template <typename RuntimeT>
+constexpr bool kPooled = !std::is_same_v<RuntimeT, EpollRuntime>;
+
+template <typename RuntimeT>
+std::unique_ptr<RuntimeT> MakeRuntime(const TcpOptions& options) {
+  if constexpr (kPooled<RuntimeT>) {
+    return std::make_unique<RuntimeT>(options);
+  } else {
+    return std::make_unique<RuntimeT>();
+  }
 }
 
 template <typename RuntimeT>
@@ -58,6 +76,7 @@ TYPED_TEST(TcpPoolTest, RoundTripsReuseConnections) {
                      return Buffer::FromString(args.str());
                    });
   Messenger client(rt, this->h1_, "client", ExecutionMode::kDriver, nullptr);
+  const std::size_t fds_before = OpenFds();
 
   constexpr int kCalls = 200;
   for (int i = 0; i < kCalls; ++i) {
@@ -72,8 +91,13 @@ TYPED_TEST(TcpPoolTest, RoundTripsReuseConnections) {
   // One request and one reply frame per call, but only two sockets total:
   // client->server and server->client, dialed once each.
   EXPECT_LE(rt.metrics().counter("rt.tcp.dials").value(), 2u);
-  EXPECT_GE(rt.metrics().counter("rt.tcp.pool_hits").value(),
-            2u * kCalls - 2u);
+  if constexpr (kPooled<TypeParam>) {
+    EXPECT_GE(rt.metrics().counter("rt.tcp.pool_hits").value(),
+              2u * kCalls - 2u);
+  } else {
+    // In-memory delivery: no socket at all.
+    EXPECT_EQ(OpenFds(), fds_before);
+  }
   EXPECT_EQ(rt.metrics().counter("rt.tcp.reconnects").value(), 0u);
 }
 
@@ -84,6 +108,7 @@ TYPED_TEST(TcpPoolTest, SoakHoldsBoundedFdsOverTenThousandPosts) {
       this->h2_, "sink", [](Envelope&&) {}, ExecutionMode::kServiced);
   const EndpointId src =
       rt.create_endpoint(this->h1_, "src", nullptr, ExecutionMode::kDriver);
+  const std::size_t fds_before = OpenFds();
 
   constexpr std::uint64_t kPosts = 10'000;
   for (std::uint64_t i = 0; i < kPosts; ++i) {
@@ -101,41 +126,57 @@ TYPED_TEST(TcpPoolTest, SoakHoldsBoundedFdsOverTenThousandPosts) {
   EXPECT_EQ(rt.endpoint_stats(sink).received, kPosts);
   // ...yet the client side never held more sockets than the pool bound, and
   // dialed a handful of times, not ten thousand.
-  const auto open = rt.metrics().gauge("rt.tcp.open_connections").value();
-  EXPECT_GT(open, 0);
-  EXPECT_LE(open, static_cast<std::int64_t>(rt.options().max_idle_per_peer));
-  EXPECT_LE(rt.metrics().counter("rt.tcp.dials").value(),
-            rt.options().max_idle_per_peer);
+  if constexpr (kPooled<TypeParam>) {
+    const auto open = rt.metrics().gauge("rt.tcp.open_connections").value();
+    EXPECT_GT(open, 0);
+    EXPECT_LE(open,
+              static_cast<std::int64_t>(rt.options().max_idle_per_peer));
+    EXPECT_LE(rt.metrics().counter("rt.tcp.dials").value(),
+              rt.options().max_idle_per_peer);
+  } else {
+    EXPECT_EQ(OpenFds(), fds_before);
+    EXPECT_EQ(rt.metrics().counter("rt.tcp.dials").value(), 0u);
+  }
 }
 
 TYPED_TEST(TcpPoolTest, IdleConnectionsAreReaped) {
   TcpOptions options;
   options.idle_reap = std::chrono::microseconds(1);  // everything is stale
-  TypeParam rt(options);
+  const auto owned = MakeRuntime<TypeParam>(options);
+  TypeParam& rt = *owned;
   this->MakeTopology(rt);
   const EndpointId sink = rt.create_endpoint(
       this->h2_, "sink", [](Envelope&&) {}, ExecutionMode::kServiced);
   const EndpointId src =
       rt.create_endpoint(this->h1_, "src", nullptr, ExecutionMode::kDriver);
+  const std::size_t fds_before = OpenFds();
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(
         rt.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Every acquire found only an expired socket, reaped it, and redialed.
-  EXPECT_GE(rt.metrics().counter("rt.tcp.reaped").value(), 4u);
-  EXPECT_GE(rt.metrics().counter("rt.tcp.dials").value(), 5u);
+  if constexpr (kPooled<TypeParam>) {
+    // Every acquire found only an expired socket, reaped it, and redialed.
+    EXPECT_GE(rt.metrics().counter("rt.tcp.reaped").value(), 4u);
+    EXPECT_GE(rt.metrics().counter("rt.tcp.dials").value(), 5u);
+  } else {
+    // Nothing is held between posts, so nothing is left to reap.
+    EXPECT_EQ(rt.metrics().gauge("rt.tcp.open_connections").value(), 0);
+    EXPECT_EQ(OpenFds(), fds_before);
+  }
 }
 
 // Regression: fd exhaustion during dial used to be reported as
 // kStaleBinding ("connection refused"), which triggered binding
 // invalidation and a pointless Section 4.1.4 repair storm — precisely when
 // the process was starved of descriptors and per-message sockets were the
-// cause. It must surface as kUnavailable.
+// cause. It must surface as kUnavailable where a post dials, and must not
+// stop in-memory delivery at all.
 TYPED_TEST(TcpPoolTest, FdExhaustionIsUnavailableNotStaleBinding) {
   TcpOptions options;
   options.pooled = false;  // force a dial per post
-  TypeParam rt(options);
+  const auto owned = MakeRuntime<TypeParam>(options);
+  TypeParam& rt = *owned;
   this->MakeTopology(rt);
   const EndpointId sink = rt.create_endpoint(
       this->h2_, "sink", [](Envelope&&) {}, ExecutionMode::kServiced);
@@ -170,7 +211,11 @@ TYPED_TEST(TcpPoolTest, FdExhaustionIsUnavailableNotStaleBinding) {
   }
 
   const Status st = rt.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}});
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.to_string();
+  if constexpr (kPooled<TypeParam>) {
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.to_string();
+  } else {
+    EXPECT_TRUE(st.ok()) << st.to_string();
+  }
 
   for (int fd : fillers) ::close(fd);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
@@ -236,21 +281,29 @@ TYPED_TEST(TcpPoolTest, PoolSurvivesEndpointCloseReopenRaces) {
 TYPED_TEST(TcpPoolTest, PerMessageAblationStillDelivers) {
   TcpOptions options;
   options.pooled = false;
-  TypeParam rt(options);
+  const auto owned = MakeRuntime<TypeParam>(options);
+  TypeParam& rt = *owned;
   this->MakeTopology(rt);
   Messenger server(rt, this->h2_, "server", ExecutionMode::kServiced,
                    [](ServerContext&, Reader&) -> Result<Buffer> {
                      return Buffer::FromString("pong");
                    });
   Messenger client(rt, this->h1_, "client", ExecutionMode::kDriver, nullptr);
+  const std::size_t fds_before = OpenFds();
   constexpr std::uint64_t kCalls = 50;
   for (std::uint64_t i = 0; i < kCalls; ++i) {
     auto reply = client.call(server.endpoint(), "Ping", Buffer{},
                              EnvTriple::System(), 5'000'000);
     ASSERT_TRUE(reply.ok()) << reply.status().to_string();
   }
-  // The ablation really does pay one connect per frame.
-  EXPECT_GE(rt.metrics().counter("rt.tcp.dials").value(), 2u * kCalls);
+  if constexpr (kPooled<TypeParam>) {
+    // The ablation really does pay one connect per frame.
+    EXPECT_GE(rt.metrics().counter("rt.tcp.dials").value(), 2u * kCalls);
+  } else {
+    // There is nothing to ablate: no frame needs a connection.
+    EXPECT_EQ(rt.metrics().counter("rt.tcp.dials").value(), 0u);
+    EXPECT_EQ(OpenFds(), fds_before);
+  }
   EXPECT_EQ(rt.metrics().counter("rt.tcp.pool_hits").value(), 0u);
 }
 
