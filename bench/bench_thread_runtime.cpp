@@ -2,16 +2,18 @@
 // invocation throughput, scaling client threads. Section 2's non-blocking
 // method invocation should let independent client/object pairs proceed in
 // parallel whether each object owns an OS thread (ThreadRuntime), shares an
-// M:N worker pool with in-memory mailboxes (EpollRuntime), or runs under the
-// single-threaded deterministic kernel (SimRuntime, the control).
+// M:N worker pool with in-memory mailboxes (EpollRuntime), or is reached
+// over real Unix-domain sockets with a reader thread per connection
+// (ProcessRuntime, every object in the parent process). The single-threaded
+// deterministic kernel (SimRuntime) is the control.
 #include <atomic>
 #include <thread>
 
 #include "core/system.hpp"
 #include "core/well_known.hpp"
 #include "rt/epoll_runtime.hpp"
+#include "rt/process_runtime.hpp"
 #include "rt/sim_runtime.hpp"
-#include "rt/tcp_runtime.hpp"
 #include "rt/thread_runtime.hpp"
 #include "sim/sample_objects.hpp"
 #include "sim/table.hpp"
@@ -97,37 +99,26 @@ void Run() {
                sim::Table::num(throughput, 0)});
   }
   // epoll's M:N pool with in-memory delivery, then the socket-backed
-  // series: TCP's thread-per-connection over loopback through the pooled
-  // persistent-connection transport, and the per-message ablation that
-  // keeps the historical connect-per-frame cost visible (fewer iterations:
-  // every hop dials two real sockets).
-  constexpr int kTcpCalls = 1000;
-  constexpr int kTcpAblationCalls = 300;
+  // series: thread-per-connection over Unix-domain sockets through the
+  // persistent-connection pool (fewer iterations: every hop is a real
+  // frame through the kernel).
+  constexpr int kSocketCalls = 1000;
   for (const int threads : {1, 2, 4, 8}) {
     rt::EpollRuntime runtime;
-    const double throughput = RunOnce(runtime, threads, kTcpCalls);
+    const double throughput = RunOnce(runtime, threads, kSocketCalls);
     table.row({"epoll (M:N pool, in-memory)",
                sim::Table::num(static_cast<std::int64_t>(threads)),
-               sim::Table::num(static_cast<std::int64_t>(threads) * kTcpCalls),
+               sim::Table::num(static_cast<std::int64_t>(threads) *
+                               kSocketCalls),
                sim::Table::num(throughput, 0)});
   }
   for (const int threads : {1, 4}) {
-    rt::TcpRuntime runtime;
-    const double throughput = RunOnce(runtime, threads, kTcpCalls);
-    table.row({"tcp pooled sockets",
-               sim::Table::num(static_cast<std::int64_t>(threads)),
-               sim::Table::num(static_cast<std::int64_t>(threads) * kTcpCalls),
-               sim::Table::num(throughput, 0)});
-  }
-  for (const int threads : {1, 4}) {
-    rt::TcpOptions per_message;
-    per_message.pooled = false;
-    rt::TcpRuntime runtime(per_message);
-    const double throughput = RunOnce(runtime, threads, kTcpAblationCalls);
-    table.row({"tcp per-message (ablation)",
+    rt::ProcessRuntime runtime;
+    const double throughput = RunOnce(runtime, threads, kSocketCalls);
+    table.row({"sockets (UDS, thread per connection)",
                sim::Table::num(static_cast<std::int64_t>(threads)),
                sim::Table::num(static_cast<std::int64_t>(threads) *
-                               kTcpAblationCalls),
+                               kSocketCalls),
                sim::Table::num(throughput, 0)});
   }
   table.print();
@@ -135,11 +126,9 @@ void Run() {
               "per-call cost;\naggregate thread/epoll throughput stays ~flat "
               "as pairs scale on a\nsingle-core host (no runtime-level "
               "contention collapse) and rises toward\nthe core count on "
-              "multi-core hosts. epoll's in-memory M:N pool should beat tcp\n"
-              "pooled, which pays real frames and syscalls per hop, and the "
-              "per-message\nablation shows the connection-setup cost the "
-              "pool removes.\n(this machine: %u "
-              "hardware threads)\n",
+              "multi-core hosts. epoll's in-memory M:N pool should beat the\n"
+              "socket series, which pays real frames and syscalls per hop.\n"
+              "(this machine: %u hardware threads)\n",
               std::thread::hardware_concurrency());
 }
 

@@ -8,11 +8,12 @@ counter (consults per 1k, hit rates, repair totals, per-layer costs, ...)
 fails the check: shape inversions — the curve bending the wrong way — cannot
 land silently.
 
-Wall-clock benches (E10 bench_micro, E11 bench_thread_runtime,
-bench_tcp_throughput) are excluded: their numbers are machine-dependent and
-belong to EXPERIMENTS.md, not a CI gate. E17 bench_trace_overhead is gated on
-its deterministic hops_recorded cells (the wall-clock columns mask as
-unstable) and on its printed "verdict: PASS" budget line.
+Wall-clock benches (E10 bench_micro, E11 bench_thread_runtime) are excluded:
+their numbers are machine-dependent and belong to EXPERIMENTS.md, not a CI
+gate. E17 bench_trace_overhead is gated on its deterministic hops_recorded
+cells (the CPU-time columns mask as unstable) and on its printed
+"verdict: PASS" budget line, which judges the median of nine paired
+thread-CPU-time ratios against tracing off.
 
 Usage:
   scripts/check_bench_shapes.py [--build-dir build]          # check
@@ -54,7 +55,7 @@ SIM_BENCHES = [
     # counts) with wall-clock lookup columns; the two-run masking in --update
     # stores the timing cells as null so only the density shape is gated.
     ("E16", "bench_memory_per_object"),
-    # E17's wall-clock columns mask as unstable; the deterministic
+    # E17's CPU-time columns mask as unstable; the deterministic
     # hops_recorded ablation cells (off / 1-in-1 / 1-in-64) are the gate.
     ("E17", "bench_trace_overhead"),
     # E18's population/thread-count columns are deterministic (the runtime

@@ -43,15 +43,16 @@ inline constexpr int kEndpointMap = 16;
 // the endpoint map (unknown dst may be a child), and taken by the reaper
 // with nothing held (bounce delivery reacquires the map afterwards).
 inline constexpr int kProcChildren = 18;
-// rt: per-endpoint inbox/cv state, then tcp per-endpoint connection set.
+// rt: per-endpoint inbox/cv state, then ProcessRuntime's per-endpoint
+// accepted-connection set.
 inline constexpr int kEndpoint = 20;
 // rt: EpollRuntime scheduler run queues (injector + per-worker deques).
 // Below kEndpoint so an endpoint can be scheduled while its mailbox lock
 // decides the state transition.
 inline constexpr int kScheduler = 22;
 inline constexpr int kEndpointConns = 24;
-// rt: tcp per-destination connection pool (taken with no endpoint lock).
-inline constexpr int kTcpPool = 28;
+// rt: ConnPool's per-destination socket pool (taken with no endpoint lock).
+inline constexpr int kConnPool = 28;
 // rt: ThreadRuntime joined-thread graveyard.
 inline constexpr int kGraveyard = 32;
 // rt/core: fault-injection rng draws (leaf under the runtime's send path).

@@ -14,8 +14,8 @@
 //
 // Thread-safe: every operation takes the internal mutex (including the
 // capacity probe — reset_capacity() may rewrite capacity_ concurrently), so
-// one cache may be shared by concurrent call() paths (ThreadRuntime /
-// TcpRuntime).
+// one cache may be shared by concurrent call() paths (the threaded
+// runtimes).
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // delivery time, so faults interact naturally with in-flight messages —
 // which is how stale bindings (paper Section 4.1.4) arise in practice.
 //
-// Thread-safe: under ThreadRuntime/TcpRuntime the plan is read from every
+// Thread-safe: under the concurrent runtimes the plan is read from every
 // posting thread while a driver thread injects and heals faults mid-run.
 // The sets are guarded by an internal shared mutex; drop probabilities are
 // atomics; any_faults() — the per-message fast path — is a single relaxed

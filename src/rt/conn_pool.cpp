@@ -1,8 +1,5 @@
 #include "rt/conn_pool.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,40 +9,6 @@
 #include "rt/socket_util.hpp"
 
 namespace legion::rt {
-
-ConnPool::Dialer ConnPool::LoopbackDialer() {
-  return [](std::uint64_t key) -> Result<int> {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      // Per-message sockets made fd exhaustion easy to hit; it is a local
-      // resource failure, not evidence the binding went stale.
-      if (errno == EMFILE || errno == ENFILE) {
-        return UnavailableError("socket(): fd exhausted");
-      }
-      return UnavailableError(std::string("socket(): ") +
-                              std::strerror(errno));
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(key));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      const int err = errno;
-      ::close(fd);
-      if (err == ECONNREFUSED) {
-        // The physical stale binding: nothing listens there anymore.
-        return StaleBindingError("connection refused");
-      }
-      if (err == EMFILE || err == ENFILE) {
-        return UnavailableError("connect(): fd exhausted");
-      }
-      return UnavailableError(std::string("connect(): ") + std::strerror(err));
-    }
-    return fd;
-  };
-}
 
 std::string ConnPool::UnixSocketPath(const std::string& socket_dir,
                                      std::uint64_t key) {
@@ -70,7 +33,7 @@ ConnPool::Dialer ConnPool::UnixDialer(std::string socket_dir) {
   };
 }
 
-ConnPool::ConnPool(const TcpOptions& options, obs::Registry& registry,
+ConnPool::ConnPool(const SocketOptions& options, obs::Registry& registry,
                    Dialer dialer, const std::string& metric_prefix)
     : options_(options),
       dialer_(std::move(dialer)),
@@ -173,15 +136,6 @@ bool ConnPool::write_frame(int fd, const Envelope& env) {
 
 Status ConnPool::send(std::uint64_t key, const Envelope& env) {
   Connection conn;
-  if (!options_.pooled) {
-    // Ablation baseline: connect, one frame, close.
-    Status st = dial(key, conn);
-    if (!st.ok()) return st;
-    const bool ok = write_frame(conn.fd, env);
-    close_conn(conn);
-    if (!ok) return UnavailableError("short write on socket send");
-    return OkStatus();
-  }
   Status st = acquire(key, conn);
   if (!st.ok()) return st;
   bool ok = write_frame(conn.fd, env);

@@ -1,5 +1,5 @@
 // Per-destination pool of persistent client sockets (the sending half of
-// the socket transports).
+// ProcessRuntime's socket transport).
 //
 // A post borrows a keep-alive socket to the destination, writes one
 // length-prefixed frame (header and payload coalesced into a single
@@ -8,14 +8,12 @@
 // pool touch. Sockets whose peer vanished reconnect exactly once, and a
 // refused reconnect surfaces as kStaleBinding so the Section 4.1.4 repair
 // loop fires — while fd exhaustion (EMFILE/ENFILE) is kUnavailable, never
-// binding invalidation. Shared verbatim by TcpRuntime and ProcessRuntime so
-// the transports cannot drift apart in failure classification.
+// binding invalidation.
 //
-// How a destination becomes a socket is the transport's business: the pool
+// How a destination becomes a socket is the dialer's business: the pool
 // keys connections by an opaque 64-bit id and dials through an injected
-// `Dialer`. TcpRuntime keys by listener port and dials loopback;
-// ProcessRuntime dials `<dir>/ep-<key>.sock`, keyed by destination endpoint
-// id.
+// `Dialer`. ProcessRuntime dials `<dir>/ep-<key>.sock`, keyed by
+// destination endpoint id.
 #pragma once
 
 #include <sys/socket.h>
@@ -35,18 +33,16 @@
 
 namespace legion::rt {
 
-struct TcpOptions {
-  // false = one fresh connect per message (the pre-pool transport), kept
-  // measurable as the ablation baseline.
-  bool pooled = true;
+struct SocketOptions {
   // Idle sockets cached per destination; a release beyond this closes
-  // the socket instead, bounding fd usage per peer.
+  // the socket instead, bounding fd usage per peer. 0 caches nothing: every
+  // post dials a fresh connection.
   std::size_t max_idle_per_peer = 4;
   // Idle sockets unused for longer than this are reaped, stalest first,
   // whenever the pool is touched.
   std::chrono::microseconds idle_reap{30'000'000};
   // listen(2) backlog for endpoint listeners. A connect storm from a
-  // fleet-sized peer set overflows a small SYN queue and surfaces as
+  // fleet-sized peer set overflows a small accept queue and surfaces as
   // spurious Unavailable, so the default is the system maximum. <= 0 also
   // means SOMAXCONN.
   int listen_backlog = SOMAXCONN;
@@ -59,8 +55,6 @@ class ConnPool {
   // exhaustion kUnavailable).
   using Dialer = std::function<Result<int>(std::uint64_t key)>;
 
-  // The TCP transport dialer: key = loopback port.
-  static Dialer LoopbackDialer();
   // UDS dialer: path = `<dir>/ep-<key>.sock`. ENOENT/ECONNREFUSED — the
   // socket file is gone or orphaned — is the physical stale binding.
   static Dialer UnixDialer(std::string socket_dir);
@@ -68,18 +62,17 @@ class ConnPool {
   static std::string UnixSocketPath(const std::string& socket_dir,
                                     std::uint64_t key);
 
-  // `metric_prefix` namespaces the pool gauges ("rt.tcp" for the TCP
-  // transports, "rt.proc.pool" for the process transport).
-  ConnPool(const TcpOptions& options, obs::Registry& registry, Dialer dialer,
-           const std::string& metric_prefix = "rt.tcp");
+  // `metric_prefix` namespaces the pool counters and gauge
+  // (`<prefix>.dials`, `<prefix>.pool_hits`, ...).
+  ConnPool(const SocketOptions& options, obs::Registry& registry,
+           Dialer dialer, const std::string& metric_prefix);
   ~ConnPool();
 
   ConnPool(const ConnPool&) = delete;
   ConnPool& operator=(const ConnPool&) = delete;
 
   // Writes `env` as one frame to the destination named by `key`, honoring
-  // the pooled / per-message mode and the reconnect-once contract described
-  // above.
+  // the reconnect-once contract described above.
   Status send(std::uint64_t key, const Envelope& env);
 
   // Closes every cached idle socket (runtime teardown).
@@ -102,10 +95,10 @@ class ConnPool {
   void close_conn(Connection& conn);
   bool write_frame(int fd, const Envelope& env);
 
-  const TcpOptions options_;
+  const SocketOptions options_;
   const Dialer dialer_;
 
-  base::Mutex mutex_{base::lock_rank::kTcpPool};
+  base::Mutex mutex_{base::lock_rank::kConnPool};
   // Idle connections per destination, oldest first (release appends,
   // reaping pops from the front).
   std::unordered_map<std::uint64_t, std::vector<Connection>> pool_

@@ -1,10 +1,11 @@
 // M:N in-process runtime: a fixed work-stealing worker pool and
 // per-endpoint actor mailboxes, with delivery straight into memory.
 //
-// ThreadRuntime spends one OS thread per serviced endpoint and TcpRuntime
-// adds one acceptor plus one reader thread per accepted connection — both
-// hit the kernel's thread ceiling orders of magnitude before the paper's
-// "millions of objects" target. Here threads are decoupled from objects:
+// ThreadRuntime spends one OS thread per serviced endpoint and
+// ProcessRuntime adds one acceptor plus one reader thread per accepted
+// connection — both hit the kernel's thread ceiling orders of magnitude
+// before the paper's "millions of objects" target. Here threads are
+// decoupled from objects:
 //
 //   * post() hands the envelope to the destination's mailbox on the
 //     posting thread. Under the mailbox lock it fails with kStaleBinding if

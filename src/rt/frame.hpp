@@ -1,13 +1,13 @@
-// The length-prefixed envelope frame shared by every socket transport.
+// The length-prefixed envelope frame of the socket transport.
 //
 // Frame: u32 payload length | u64 src | u64 dst | u8 kind | u64 trace_id |
 // u32 hop | u64 span_id | u64 parent_span_id | payload bytes. Frames are
 // self-delimiting, so any number of them multiplex over one persistent
 // stream. (queued_at is receiver-local and deliberately NOT on the wire.)
 //
-// TcpRuntime's per-connection reader threads (TCP loopback) and
-// ProcessRuntime's readers (Unix-domain streams) parse the identical 49-byte
-// header, so the transports are wire compatible by construction.
+// ConnPool writes it and ProcessRuntime's per-connection reader threads
+// parse it (Unix-domain streams), in the parent and in every worker alike,
+// so parent and workers are wire compatible by construction.
 #pragma once
 
 #include <cstddef>

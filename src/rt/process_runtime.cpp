@@ -67,8 +67,8 @@ ProcessRuntime::ProcessRuntime() : ProcessRuntime(ProcessOptions{}) {}
 ProcessRuntime::ProcessRuntime(ProcessOptions options)
     : options_(std::move(options)),
       socket_dir_(options_.socket_dir),
-      pool_(options_.tcp, metrics_, ConnPool::UnixDialer(socket_dir_.path()),
-            "rt.proc.pool"),
+      pool_(options_.sockets, metrics_,
+            ConnPool::UnixDialer(socket_dir_.path()), "rt.proc.pool"),
       epoch_(std::chrono::steady_clock::now()) {
   child_log_dir_ = options_.child_log_dir;
   if (child_log_dir_.empty()) {
@@ -121,27 +121,14 @@ ProcessRuntime::~ProcessRuntime() {
 
   std::vector<EndpointPtr> eps;
   {
-    base::WriterMutexLock lock(map_mutex_);
+    base::ReaderMutexLock lock(map_mutex_);
     for (auto& [_, ep] : endpoints_) eps.push_back(ep);
-    endpoints_.clear();
   }
   for (auto& ep : eps) stop_endpoint(ep);
-  for (auto& ep : eps) {
-    if (ep->acceptor.joinable()) ep->acceptor.join();
-    if (ep->service.joinable()) ep->service.join();
-    std::vector<std::thread> readers;
-    {
-      base::MutexLock lock(ep->conns_mutex);
-      readers.swap(ep->readers);
-    }
-    for (auto& t : readers) {
-      if (t.joinable()) t.join();
-    }
-    base::MutexLock lock(ep->conns_mutex);
-    for (int& fd : ep->conn_fds) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
+  for (auto& ep : eps) join_endpoint(*ep);
+  {
+    base::WriterMutexLock lock(map_mutex_);
+    endpoints_.clear();
   }
   pool_.close_all();
   {
@@ -203,7 +190,7 @@ EndpointId ProcessRuntime::create_endpoint(HostId host, std::string label,
     }
     ep->socket_path = ConnPool::UnixSocketPath(socket_dir(), id_value);
     ep->listen_fd =
-        CreateUnixListener(ep->socket_path, options_.tcp.listen_backlog);
+        CreateUnixListener(ep->socket_path, options_.sockets.listen_backlog);
     if (ep->listen_fd < 0) return EndpointId{};
     endpoints_.emplace(id_value, ep);
   }
@@ -214,14 +201,7 @@ EndpointId ProcessRuntime::create_endpoint(HostId host, std::string label,
   return EndpointId{id_value};
 }
 
-void ProcessRuntime::close_endpoint(EndpointId id) {
-  EndpointPtr ep = find(id);
-  if (!ep) return;
-  {
-    base::WriterMutexLock lock(map_mutex_);
-    endpoints_.erase(id.value);
-  }
-  stop_endpoint(ep);
+void ProcessRuntime::join_endpoint(Endpoint& ep) {
   auto reap = [this](std::thread& t) {
     if (!t.joinable()) return;
     if (t.get_id() == std::this_thread::get_id()) {
@@ -231,23 +211,36 @@ void ProcessRuntime::close_endpoint(EndpointId id) {
       t.join();
     }
   };
-  reap(ep->acceptor);
-  reap(ep->service);
+  reap(ep.acceptor);
+  reap(ep.service);
   std::vector<std::thread> readers;
   {
-    base::MutexLock lock(ep->conns_mutex);
-    readers.swap(ep->readers);
+    base::MutexLock lock(ep.conns_mutex);
+    readers.swap(ep.readers);
   }
-  // Readers never run handlers (they only feed the inbox), so the closing
+  // Readers never run handlers (they only feed the inbox), so the joining
   // thread is never one of them and a plain join is safe.
   for (auto& t : readers) {
     if (t.joinable()) t.join();
   }
-  base::MutexLock lock(ep->conns_mutex);
-  for (int& fd : ep->conn_fds) {
+  base::MutexLock lock(ep.conns_mutex);
+  for (int& fd : ep.conn_fds) {
     if (fd >= 0) ::close(fd);
     fd = -1;
   }
+}
+
+void ProcessRuntime::close_endpoint(EndpointId id) {
+  EndpointPtr ep = find(id);
+  // The first closer owns the teardown; a concurrent second one must not
+  // close the listener or join the threads again.
+  if (!ep || !ep->alive.exchange(false)) return;
+  stop_endpoint(ep);
+  join_endpoint(*ep);
+  // Unpublish only after the drain: the handlers answering the requests
+  // accepted before the close still post their replies from here.
+  base::WriterMutexLock lock(map_mutex_);
+  endpoints_.erase(id.value);
 }
 
 bool ProcessRuntime::endpoint_alive(EndpointId id) const {
@@ -386,9 +379,9 @@ void ProcessRuntime::acceptor_loop(const EndpointPtr& ep) {
   for (;;) {
     const int conn = AcceptConn(ep->listen_fd);
     if (conn < 0) {
-      // Same errno taxonomy as TcpRuntime: only a closed listener may end
-      // this loop, or the endpoint is deafened while its socket file stays
-      // routable.
+      // Only a closed listener may end this loop, or the endpoint is
+      // deafened while its socket file stays routable. Aborted handshakes
+      // retry at once; descriptor or memory pressure backs off and retries.
       if (!ep->alive.load()) return;
       switch (errno) {
         case EINTR:

@@ -13,9 +13,11 @@
 // socket whose path is a pure function of the endpoint id
 // (ConnPool::UnixSocketPath: `<dir>/ep-<id>.sock`), so parent and children
 // route to each other with zero coordination: posting to endpoint N means
-// dialing ep-N.sock, whoever owns it. Frames are the same 49-byte-header
-// format as the TCP transports (rt/frame.hpp) through the same ConnPool
-// (reuse / reconnect-once / stale-vs-unavailable classification).
+// dialing ep-N.sock, whoever owns it. Each message is one frame with a
+// 49-byte header (rt/frame.hpp), written through a ConnPool of persistent
+// client sockets (reuse / reconnect-once / stale-vs-unavailable
+// classification). The receiving endpoint accepts on its socket and reads
+// frames with one reader thread per connection until EOF.
 //
 // Failure surface: a dead worker's socket gives ECONNREFUSED/ENOENT =
 // kStaleBinding on new sends, while requests already in flight to it are
@@ -52,8 +54,8 @@
 namespace legion::rt {
 
 struct ProcessOptions {
-  // Pool / backlog knobs, shared with the TCP transports.
-  TcpOptions tcp;
+  // Pool and listen-backlog knobs of the socket transport.
+  SocketOptions sockets;
   // Directory holding every endpoint's socket plus the per-child OPR/handles
   // files. "" in parent mode = create (and own) a private SocketDir
   // (rt/socket_util.hpp); workers are always told the parent's directory.
@@ -120,8 +122,10 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   }
 
  private:
-  // Identical shape to TcpRuntime::Endpoint, minus the TCP port.
   struct Endpoint {
+    // host/label/handler/mode/listen_fd/socket_path are set before the
+    // endpoint is published (and before its acceptor/service threads
+    // start), then never written: immutable-after-init, no guard needed.
     HostId host;
     std::string label;
     MessageHandler handler;
@@ -133,6 +137,7 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
     base::CondVar cv;
     std::deque<Envelope> inbox GUARDED_BY(mutex);
     bool stopping GUARDED_BY(mutex) = false;
+    // See ThreadRuntime::Endpoint::wakeups.
     std::uint64_t wakeups GUARDED_BY(mutex) = 0;
     EndpointStats stats GUARDED_BY(mutex);
 
@@ -140,6 +145,12 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
     std::thread acceptor;
     std::thread service;  // kServiced only
 
+    // Accepted persistent connections: one reader thread per stream. A
+    // reader closes its own fd on exit, marks the slot -1, and lists it in
+    // free_slots; the acceptor reuses freed slots before growing the
+    // vectors, so connection churn cannot grow them without bound.
+    // Teardown shuts down every live fd, joins the readers, then closes
+    // stragglers.
     base::Mutex conns_mutex{base::lock_rank::kEndpointConns};
     std::vector<int> conn_fds GUARDED_BY(conns_mutex);  // -1 = closed
     std::vector<std::thread> readers GUARDED_BY(conns_mutex);
@@ -168,7 +179,14 @@ class ProcessRuntime final : public Runtime, public ProcessControl {
   void reader_loop(const EndpointPtr& ep, std::size_t slot, int fd);
   void service_loop(const EndpointPtr& ep);
   static bool pop_one(const EndpointPtr& ep, Envelope& out);
+  // Teardown, in two halves so the destructor can stop every endpoint
+  // before it joins any: stop_endpoint closes the listener, unlinks the
+  // socket file, shuts down the accepted connections and wakes the service
+  // thread; join_endpoint waits for the acceptor, the service thread's
+  // drain and the readers, then closes what is left. A thread joining
+  // itself (a handler closing its own endpoint) is parked in the graveyard.
   void stop_endpoint(const EndpointPtr& ep);
+  void join_endpoint(Endpoint& ep);
 
   // Parent bookkeeping around a request/reply crossing a process boundary.
   // Peeks the Messenger payload kind byte; non-Messenger payloads pass

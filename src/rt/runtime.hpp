@@ -2,7 +2,7 @@
 //
 // A Runtime owns endpoints (one per active Legion object, plus "driver"
 // endpoints for external threads) and moves envelopes between them across a
-// simulated topology. Five implementations share this interface:
+// simulated topology. Four implementations share this interface:
 //
 //   * SimRuntime     — sequential, virtual-time, deterministic. Every
 //                      message is accounted per endpoint and per latency
@@ -11,13 +11,13 @@
 //   * ThreadRuntime  — one OS thread per serviced endpoint with real
 //                      mailboxes; demonstrates the model under true
 //                      concurrency.
-//   * TcpRuntime     — a TCP loopback listener per endpoint and a reader
-//                      thread per accepted connection (rt/tcp_runtime.hpp).
 //   * EpollRuntime   — M:N: a work-stealing worker pool draining
 //                      per-endpoint actor mailboxes that post() fills in
 //                      memory; no sockets (rt/epoll_runtime.hpp).
-//   * ProcessRuntime — one OS process per object, Unix-domain sockets
-//                      between them (rt/process_runtime.hpp).
+//   * ProcessRuntime — one OS process per object (or, for objects with no
+//                      executable, per-endpoint threads in the parent), a
+//                      Unix-domain listener per endpoint and a reader thread
+//                      per accepted connection (rt/process_runtime.hpp).
 //
 // Blocking semantics: wait() keeps servicing the waiting endpoint's incoming
 // messages (the paper allows methods to be "accepted in any order"), which

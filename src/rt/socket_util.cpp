@@ -1,8 +1,5 @@
 #include "rt/socket_util.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -16,37 +13,6 @@
 #include <utility>
 
 namespace legion::rt {
-
-ListenerSocket CreateLoopbackListener(std::uint16_t port, int backlog) {
-  ListenerSocket out;
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return out;
-  const int one = 1;
-  // Without this, rebinding the port of a just-died listener fails with
-  // EADDRINUSE for the whole TIME_WAIT period — fatal to fast recovery.
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(fd, backlog > 0 ? backlog : SOMAXCONN) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    return out;
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    return out;
-  }
-  out.fd = fd;
-  out.port = ntohs(addr.sin_port);
-  return out;
-}
 
 namespace {
 bool FillSunPath(const std::string& path, sockaddr_un& addr) {
@@ -66,8 +32,7 @@ int CreateUnixListener(const std::string& path, int backlog) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   // A stale socket file from a previous (killed) incarnation makes bind()
-  // fail with EADDRINUSE even though nothing listens — the UDS analogue of
-  // TIME_WAIT on a TCP port.
+  // fail with EADDRINUSE even though nothing listens there any more.
   ::unlink(path.c_str());
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
       ::listen(fd, backlog > 0 ? backlog : SOMAXCONN) != 0) {
@@ -143,7 +108,7 @@ bool ReadAll(int fd, void* data, std::size_t n, obs::Counter& retries) {
 }
 
 // Gathered write of the whole frame in one syscall on the fast path,
-// advancing the iovec on partial writes. MSG_NOSIGNAL: a pooled socket whose
+// advancing the iovec on partial writes. MSG_NOSIGNAL: a cached socket whose
 // peer endpoint closed must fail with EPIPE (and reconnect), not kill the
 // process with SIGPIPE. A full socket buffer on a nonblocking fd parks in
 // poll(POLLOUT) instead of spinning.

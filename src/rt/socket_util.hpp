@@ -1,46 +1,24 @@
-// Socket helpers shared by the socket-backed runtimes.
-//
-// TcpRuntime (thread-per-connection, TCP loopback) and ProcessRuntime (one
-// child process per object, Unix-domain sockets) create listeners, dial
-// peers, and move whole frames; centralizing the syscall loops keeps the
-// EINTR/EAGAIN/partial-transfer handling — and the listener socket options
-// (SO_REUSEADDR on TCP, configurable backlog, close-on-exec) — identical in
-// both. SocketDir is the private directory ProcessRuntime's socket files
-// live in.
+// Socket helpers of ProcessRuntime's transport (rt/process_runtime.hpp,
+// rt/conn_pool.hpp): Unix-domain listeners and dials, accept, and the
+// whole-frame read/write loops, with their EINTR/EAGAIN/partial-transfer
+// handling in one place. SocketDir is the private directory the socket
+// files live in.
 //
 // Every socket created here is close-on-exec. ProcessRuntime fork/execs a
 // worker per object; without CLOEXEC the child would inherit the parent's
-// pooled client sockets and every listener (keeping dead TCP ports alive
-// through TIME_WAIT and leaking peer data into an address-space-disjoint
+// cached client sockets and every listener (keeping a closed endpoint's
+// socket reachable and leaking peer data into an address-space-disjoint
 // object).
 #pragma once
 
 #include <sys/uio.h>
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
 
 namespace legion::rt {
-
-// A freshly bound TCP loopback listener. fd < 0 means creation failed (errno
-// preserved from the failing syscall).
-struct ListenerSocket {
-  int fd = -1;
-  std::uint16_t port = 0;
-};
-
-// Binds a TCP listener on 127.0.0.1:`port` (0 = kernel-assigned ephemeral)
-// with SO_REUSEADDR set and the given backlog (<= 0 = SOMAXCONN).
-//
-// SO_REUSEADDR matters for recovery: a host that crashes and is revived on
-// the same port must not fail bind() with EADDRINUSE while the old
-// incarnation's connections drain through TIME_WAIT — exactly the E15
-// stop/rebind path.
-[[nodiscard]] ListenerSocket CreateLoopbackListener(std::uint16_t port,
-                                                    int backlog);
 
 // Binds a SOCK_STREAM Unix-domain listener at `path` (unlinking any stale
 // socket file first). Returns the listening fd, or -1 with errno preserved.

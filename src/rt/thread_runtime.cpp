@@ -67,12 +67,9 @@ EndpointId ThreadRuntime::create_endpoint(HostId host, std::string label,
 
 void ThreadRuntime::close_endpoint(EndpointId id) {
   EndpointPtr ep = find(id);
-  if (!ep) return;
-  {
-    base::WriterMutexLock lock(map_mutex_);
-    endpoints_.erase(id.value);
-  }
-  ep->alive.store(false);
+  // The first closer owns the teardown; a concurrent second one must not
+  // join the service thread again.
+  if (!ep || !ep->alive.exchange(false)) return;
   {
     base::MutexLock lock(ep->mutex);
     ep->stopping = true;
@@ -89,6 +86,10 @@ void ThreadRuntime::close_endpoint(EndpointId id) {
       ep->service.join();
     }
   }
+  // Unpublish only after the drain: the handlers answering the requests
+  // post() accepted before the close still post their replies from here.
+  base::WriterMutexLock lock(map_mutex_);
+  endpoints_.erase(id.value);
 }
 
 bool ThreadRuntime::endpoint_alive(EndpointId id) const {

@@ -206,11 +206,10 @@ TEST_F(RecoveryTest, RecoveryPolicyIsTunable) {
   EXPECT_EQ(after4.reactivated, static_cast<std::uint32_t>(counters.size()));
 }
 
-// The same recovery machinery over the M:N socket runtime: probes, verdicts
-// and reactivation ride real TCP frames and real-clock timeouts instead of
-// virtual time. EpollRuntime consults the fault plan on post (TcpRuntime
-// does not), which is what makes host-down/partition experiments expressible
-// over sockets at all.
+// The same recovery machinery over the M:N runtime: probes, verdicts and
+// reactivation ride real worker threads and real-clock timeouts instead of
+// virtual time. EpollRuntime consults the fault plan on post, which is what
+// makes host-down/partition experiments expressible on it at all.
 class EpollRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -289,7 +288,7 @@ TEST_F(EpollRecoveryTest, HostOutageReactivatesOverRealSockets) {
   ASSERT_EQ(counters.size(), static_cast<std::size_t>(kInstances));
 
   // Mutate and checkpoint everything so recovery must restore live state
-  // through the magistrate's vault, every hop a real TCP exchange.
+  // through the magistrate's vault, every hop a real-clock message.
   for (int i = 0; i < kInstances; ++i) {
     ASSERT_TRUE(client_->ref(counters[i]).call("Increment", Buffer{}).ok());
     wire::LoidRequest req{counters[i]};

@@ -140,7 +140,7 @@ TEST_F(EpollRuntimeTest, ClosedEndpointIsStaleBinding) {
 
 // The M:N invariant itself: ten thousand resident serviced endpoints, and
 // the runtime's thread count stays the worker pool. (ThreadRuntime would
-// need ten thousand threads; TcpRuntime ten thousand listener fds plus a
+// need ten thousand threads; ProcessRuntime ten thousand listener fds plus a
 // thread per accepted stream.)
 TEST_F(EpollRuntimeTest, ThousandsOfIdleEndpointsCostNoThreads) {
   EpollOptions options;
@@ -174,8 +174,8 @@ TEST_F(EpollRuntimeTest, ThousandsOfIdleEndpointsCostNoThreads) {
   EXPECT_EQ(rt.runtime_threads(), 2u);  // plain delivery never blocks
 }
 
-// Unlike TcpRuntime, the fault plan is consulted on post (like
-// ThreadRuntime): recovery and partition experiments run unchanged.
+// The fault plan is consulted on post (as in ThreadRuntime): recovery and
+// partition experiments run unchanged.
 TEST_F(EpollRuntimeTest, FaultPlanDropsPostsOverRealSockets) {
   EpollRuntime rt;
   MakeTopology(rt);

@@ -117,7 +117,7 @@ TEST_F(ProcessRuntimeTest, SpawnedWorkerServesCallsAcrossProcessBoundary) {
 // The CLOEXEC regression test. legion_objectd scans /proc/self/fd first
 // thing and refuses to run (exit 3 => failed ready handshake) if exec
 // leaked any descriptor beyond stdio + the ready pipe. Spawning from a
-// parent that holds many live sockets — endpoints, pooled client conns from
+// parent that holds many live sockets — endpoints, cached client conns from
 // a completed call — therefore proves every one of them is close-on-exec.
 TEST_F(ProcessRuntimeTest, WorkerInheritsNoDescriptorsFromBusyParent) {
   for (int i = 0; i < 4; ++i) {
@@ -127,7 +127,7 @@ TEST_F(ProcessRuntimeTest, WorkerInheritsNoDescriptorsFromBusyParent) {
   auto first = SpawnWorker("fd-audit-warmup");
   ASSERT_TRUE(first.ok()) << first.status().to_string();
   Messenger client(rt_, h1_, "client", ExecutionMode::kDriver, nullptr);
-  CallGet(client, first->endpoint);  // leaves a pooled UDS conn open
+  CallGet(client, first->endpoint);  // leaves a cached UDS conn open
 
   auto second = SpawnWorker("fd-audit");
   ASSERT_TRUE(second.ok())

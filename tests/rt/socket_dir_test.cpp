@@ -65,7 +65,8 @@ TEST(SocketDirTest, TeardownRemovesSocketDirectory) {
 
   // The listening socket is still open, but its path is gone.
   obs::Registry registry;
-  ConnPool pool(TcpOptions{}, registry, ConnPool::UnixDialer(dir));
+  ConnPool pool(SocketOptions{}, registry, ConnPool::UnixDialer(dir),
+                "rt.proc.pool");
   EXPECT_EQ(pool.send(1, Envelope{}).code(), StatusCode::kStaleBinding);
   for (int fd : fds) ::close(fd);
 }

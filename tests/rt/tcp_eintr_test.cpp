@@ -1,11 +1,13 @@
-// Signals mid-transfer must not kill a TCP delivery (regression: the
+// Signals mid-transfer must not kill a socket delivery (regression: the
 // read/write loops treated EINTR as fatal, so any signal landing during a
-// blocking socket call dropped the message).
+// blocking socket call dropped the message). Runs on ProcessRuntime's
+// Unix-domain transport; the suite keeps the name it had when the same
+// loops served a TCP transport.
 //
 // An interval timer showers the process with SIGALRM (installed WITHOUT
 // SA_RESTART, so blocking syscalls genuinely return EINTR) while large
-// payloads — big enough to fill the loopback socket buffer and block the
-// writer — stream between endpoints. Every transfer must complete intact.
+// payloads — big enough to fill the socket buffer and block the writer —
+// stream between endpoints. Every transfer must complete intact.
 #include <gtest/gtest.h>
 
 #include <sys/time.h>
@@ -17,7 +19,7 @@
 #include <vector>
 
 #include "rt/messenger.hpp"
-#include "rt/tcp_runtime.hpp"
+#include "rt/process_runtime.hpp"
 
 namespace legion::rt {
 namespace {
@@ -50,14 +52,14 @@ class SignalStorm {
 };
 
 TEST(TcpEintrTest, SignalsMidTransferDoNotDropMessages) {
-  TcpRuntime rt;
+  ProcessRuntime rt;
   auto j = rt.topology().add_jurisdiction("j");
   const HostId h1 = rt.topology().add_host("h1", {j}, 1e9);
   const HostId h2 = rt.topology().add_host("h2", {j}, 1e9);
 
-  // 4 MiB payloads: far beyond the loopback socket buffer, so both the
-  // writer and the acceptor's reader block mid-transfer — exactly where a
-  // signal used to be fatal.
+  // 4 MiB payloads: far beyond the socket buffer, so both the writer and
+  // the acceptor's reader block mid-transfer — exactly where a signal used
+  // to be fatal.
   std::vector<std::uint8_t> raw(4 * 1024 * 1024);
   for (std::size_t i = 0; i < raw.size(); ++i) {
     raw[i] = static_cast<std::uint8_t>(i * 131);

@@ -1,10 +1,10 @@
-// The persistent-connection pool behind the socket runtimes' post:
-// keep-alive reuse, bounded fd usage under sustained load, connect-failure
+// The persistent-connection pool behind ProcessRuntime's post: keep-alive
+// reuse, bounded fd usage under sustained load, connect-failure
 // classification (EMFILE is resource pressure, not a stale binding), and
 // pool consistency under endpoint close/reopen races (run under TSan in
-// CI). Typed over TcpRuntime (thread-per-connection, TCP loopback), whose
-// post goes through ConnPool as ProcessRuntime's does across processes, and
-// EpollRuntime, which delivers in memory and has no pool. For EpollRuntime
+// CI). Typed over ProcessRuntime (thread-per-connection, Unix-domain
+// sockets), whose post goes through ConnPool, and EpollRuntime, which
+// delivers in memory and has no pool. For EpollRuntime
 // each case checks the property the pool exists to give instead of the
 // pool's own counters: no dial per message, a descriptor count that does
 // not grow, and delivery that fd exhaustion cannot turn into a stale
@@ -25,7 +25,7 @@
 
 #include "rt/epoll_runtime.hpp"
 #include "rt/messenger.hpp"
-#include "rt/tcp_runtime.hpp"
+#include "rt/process_runtime.hpp"
 
 namespace legion::rt {
 namespace {
@@ -40,14 +40,16 @@ std::size_t OpenFds() {
   return n;
 }
 
-// Whether RuntimeT sends through a ConnPool (and takes TcpOptions).
+// Whether RuntimeT sends through a ConnPool (and takes SocketOptions).
 template <typename RuntimeT>
-constexpr bool kPooled = !std::is_same_v<RuntimeT, EpollRuntime>;
+constexpr bool kHasConnPool = std::is_same_v<RuntimeT, ProcessRuntime>;
 
 template <typename RuntimeT>
-std::unique_ptr<RuntimeT> MakeRuntime(const TcpOptions& options) {
-  if constexpr (kPooled<RuntimeT>) {
-    return std::make_unique<RuntimeT>(options);
+std::unique_ptr<RuntimeT> MakeRuntime(const SocketOptions& sockets) {
+  if constexpr (kHasConnPool<RuntimeT>) {
+    ProcessOptions options;
+    options.sockets = sockets;
+    return std::make_unique<RuntimeT>(std::move(options));
   } else {
     return std::make_unique<RuntimeT>();
   }
@@ -65,7 +67,7 @@ class TcpPoolTest : public ::testing::Test {
   HostId h1_, h2_;
 };
 
-using SocketRuntimes = ::testing::Types<TcpRuntime, EpollRuntime>;
+using SocketRuntimes = ::testing::Types<ProcessRuntime, EpollRuntime>;
 TYPED_TEST_SUITE(TcpPoolTest, SocketRuntimes);
 
 TYPED_TEST(TcpPoolTest, RoundTripsReuseConnections) {
@@ -90,15 +92,15 @@ TYPED_TEST(TcpPoolTest, RoundTripsReuseConnections) {
 
   // One request and one reply frame per call, but only two sockets total:
   // client->server and server->client, dialed once each.
-  EXPECT_LE(rt.metrics().counter("rt.tcp.dials").value(), 2u);
-  if constexpr (kPooled<TypeParam>) {
-    EXPECT_GE(rt.metrics().counter("rt.tcp.pool_hits").value(),
+  EXPECT_LE(rt.metrics().counter("rt.proc.pool.dials").value(), 2u);
+  if constexpr (kHasConnPool<TypeParam>) {
+    EXPECT_GE(rt.metrics().counter("rt.proc.pool.pool_hits").value(),
               2u * kCalls - 2u);
   } else {
     // In-memory delivery: no socket at all.
     EXPECT_EQ(OpenFds(), fds_before);
   }
-  EXPECT_EQ(rt.metrics().counter("rt.tcp.reconnects").value(), 0u);
+  EXPECT_EQ(rt.metrics().counter("rt.proc.pool.reconnects").value(), 0u);
 }
 
 TYPED_TEST(TcpPoolTest, SoakHoldsBoundedFdsOverTenThousandPosts) {
@@ -126,21 +128,21 @@ TYPED_TEST(TcpPoolTest, SoakHoldsBoundedFdsOverTenThousandPosts) {
   EXPECT_EQ(rt.endpoint_stats(sink).received, kPosts);
   // ...yet the client side never held more sockets than the pool bound, and
   // dialed a handful of times, not ten thousand.
-  if constexpr (kPooled<TypeParam>) {
-    const auto open = rt.metrics().gauge("rt.tcp.open_connections").value();
+  if constexpr (kHasConnPool<TypeParam>) {
+    const std::size_t max_idle = rt.options().sockets.max_idle_per_peer;
+    const auto open =
+        rt.metrics().gauge("rt.proc.pool.open_connections").value();
     EXPECT_GT(open, 0);
-    EXPECT_LE(open,
-              static_cast<std::int64_t>(rt.options().max_idle_per_peer));
-    EXPECT_LE(rt.metrics().counter("rt.tcp.dials").value(),
-              rt.options().max_idle_per_peer);
+    EXPECT_LE(open, static_cast<std::int64_t>(max_idle));
+    EXPECT_LE(rt.metrics().counter("rt.proc.pool.dials").value(), max_idle);
   } else {
     EXPECT_EQ(OpenFds(), fds_before);
-    EXPECT_EQ(rt.metrics().counter("rt.tcp.dials").value(), 0u);
+    EXPECT_EQ(rt.metrics().counter("rt.proc.pool.dials").value(), 0u);
   }
 }
 
 TYPED_TEST(TcpPoolTest, IdleConnectionsAreReaped) {
-  TcpOptions options;
+  SocketOptions options;
   options.idle_reap = std::chrono::microseconds(1);  // everything is stale
   const auto owned = MakeRuntime<TypeParam>(options);
   TypeParam& rt = *owned;
@@ -155,13 +157,13 @@ TYPED_TEST(TcpPoolTest, IdleConnectionsAreReaped) {
         rt.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}}).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  if constexpr (kPooled<TypeParam>) {
+  if constexpr (kHasConnPool<TypeParam>) {
     // Every acquire found only an expired socket, reaped it, and redialed.
-    EXPECT_GE(rt.metrics().counter("rt.tcp.reaped").value(), 4u);
-    EXPECT_GE(rt.metrics().counter("rt.tcp.dials").value(), 5u);
+    EXPECT_GE(rt.metrics().counter("rt.proc.pool.reaped").value(), 4u);
+    EXPECT_GE(rt.metrics().counter("rt.proc.pool.dials").value(), 5u);
   } else {
     // Nothing is held between posts, so nothing is left to reap.
-    EXPECT_EQ(rt.metrics().gauge("rt.tcp.open_connections").value(), 0);
+    EXPECT_EQ(rt.metrics().gauge("rt.proc.pool.open_connections").value(), 0);
     EXPECT_EQ(OpenFds(), fds_before);
   }
 }
@@ -173,8 +175,8 @@ TYPED_TEST(TcpPoolTest, IdleConnectionsAreReaped) {
 // cause. It must surface as kUnavailable where a post dials, and must not
 // stop in-memory delivery at all.
 TYPED_TEST(TcpPoolTest, FdExhaustionIsUnavailableNotStaleBinding) {
-  TcpOptions options;
-  options.pooled = false;  // force a dial per post
+  SocketOptions options;
+  options.max_idle_per_peer = 0;  // cache nothing: a dial per post
   const auto owned = MakeRuntime<TypeParam>(options);
   TypeParam& rt = *owned;
   this->MakeTopology(rt);
@@ -211,7 +213,7 @@ TYPED_TEST(TcpPoolTest, FdExhaustionIsUnavailableNotStaleBinding) {
   }
 
   const Status st = rt.post(Envelope{src, sink, DeliveryKind::kData, Buffer{}});
-  if constexpr (kPooled<TypeParam>) {
+  if constexpr (kHasConnPool<TypeParam>) {
     EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.to_string();
   } else {
     EXPECT_TRUE(st.ok()) << st.to_string();
@@ -279,8 +281,8 @@ TYPED_TEST(TcpPoolTest, PoolSurvivesEndpointCloseReopenRaces) {
 }
 
 TYPED_TEST(TcpPoolTest, PerMessageAblationStillDelivers) {
-  TcpOptions options;
-  options.pooled = false;
+  SocketOptions options;
+  options.max_idle_per_peer = 0;  // cache nothing: a dial per frame
   const auto owned = MakeRuntime<TypeParam>(options);
   TypeParam& rt = *owned;
   this->MakeTopology(rt);
@@ -296,15 +298,15 @@ TYPED_TEST(TcpPoolTest, PerMessageAblationStillDelivers) {
                              EnvTriple::System(), 5'000'000);
     ASSERT_TRUE(reply.ok()) << reply.status().to_string();
   }
-  if constexpr (kPooled<TypeParam>) {
+  if constexpr (kHasConnPool<TypeParam>) {
     // The ablation really does pay one connect per frame.
-    EXPECT_GE(rt.metrics().counter("rt.tcp.dials").value(), 2u * kCalls);
+    EXPECT_GE(rt.metrics().counter("rt.proc.pool.dials").value(), 2u * kCalls);
   } else {
     // There is nothing to ablate: no frame needs a connection.
-    EXPECT_EQ(rt.metrics().counter("rt.tcp.dials").value(), 0u);
+    EXPECT_EQ(rt.metrics().counter("rt.proc.pool.dials").value(), 0u);
     EXPECT_EQ(OpenFds(), fds_before);
   }
-  EXPECT_EQ(rt.metrics().counter("rt.tcp.pool_hits").value(), 0u);
+  EXPECT_EQ(rt.metrics().counter("rt.proc.pool.pool_hits").value(), 0u);
 }
 
 }  // namespace
