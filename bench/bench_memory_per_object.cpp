@@ -15,6 +15,14 @@
 //                      from the CI shape gate by the two-run masking in
 //                      scripts/check_bench_shapes.py; the claim (flat from
 //                      10^4 to 10^7) is recorded in EXPERIMENTS.md.
+//
+// E16c holds a constant live population and runs create/delete churn
+// through both tables (erase + upsert; invalidate + put) with instance
+// LOIDs that carry an 8-byte public key, as ClassObjectImpl::make_key
+// issues them. Deleted entries give their dense ids back, so residency
+// after 10^6 cycles equals residency after the fill, and the tables' own
+// churn work (the caller builds each row or binding first) allocates
+// nothing: a reused id's key cell already owns a key buffer.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -140,6 +148,83 @@ void RunBindingCache(sim::Table& out, std::size_t entries) {
            sim::Table::num(Ns(elapsed, kLookups), 3)});
 }
 
+constexpr std::size_t kChurnLive = 10'000;
+constexpr std::size_t kChurnCycles = 1'000'000;
+
+[[nodiscard]] std::string PerLive(std::size_t bytes) {
+  return sim::Table::num(
+      static_cast<double>(bytes) / static_cast<double>(kChurnLive), 1);
+}
+[[nodiscard]] std::string PerThousand(std::uint64_t allocs) {
+  return sim::Table::num(static_cast<double>(allocs) * 1000.0 /
+                             static_cast<double>(kChurnCycles),
+                         2);
+}
+
+// An instance LOID with a public key of the default instance_key_bytes (8).
+[[nodiscard]] Loid KeyedLoid(std::uint64_t n) {
+  std::vector<std::uint8_t> key(8);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(n >> (8 * i));
+  }
+  return Loid{kClassId, n, std::move(key)};
+}
+
+[[nodiscard]] core::TableRow KeyedRow(std::uint64_t n) {
+  core::TableRow row;
+  row.loid = KeyedLoid(n);
+  row.kind = core::RowKind::kInstance;
+  return row;
+}
+
+// One churn cycle deletes the oldest live object (LOIDs are sequential, so
+// that is `next - kChurnLive`) and creates a new one. Only the tables' own
+// allocations are counted: each row or binding is built (its key and
+// address allocate) before the window opens.
+void RunLogicalTableChurn(sim::Table& out) {
+  core::LogicalTable table;
+  std::uint64_t next = 1;
+  for (; next <= kChurnLive; ++next) table.upsert(KeyedRow(next));
+  const std::size_t fill_bytes = table.allocated_bytes();
+  std::uint64_t allocs = 0;
+  for (std::size_t i = 0; i < kChurnCycles; ++i, ++next) {
+    core::TableRow row = KeyedRow(next);
+    const std::uint64_t start = g_allocs.load(std::memory_order_relaxed);
+    if (!table.erase(Loid{kClassId, next - kChurnLive})) std::abort();
+    table.upsert(std::move(row));
+    allocs += g_allocs.load(std::memory_order_relaxed) - start;
+  }
+  if (table.size() != kChurnLive) std::abort();
+  out.row({"logical_table", sim::Table::num(std::uint64_t{kChurnLive}),
+           sim::Table::num(std::uint64_t{kChurnCycles}), PerLive(fill_bytes),
+           PerLive(table.allocated_bytes()), PerThousand(allocs)});
+}
+
+[[nodiscard]] core::Binding KeyedBinding(std::uint64_t n) {
+  core::Binding b = MakeBinding(n);
+  b.loid = KeyedLoid(n);
+  return b;
+}
+
+void RunBindingCacheChurn(sim::Table& out) {
+  core::BindingCache cache(kChurnLive);
+  std::uint64_t next = 1;
+  for (; next <= kChurnLive; ++next) cache.put(KeyedBinding(next));
+  const std::size_t fill_bytes = cache.allocated_bytes();
+  std::uint64_t allocs = 0;
+  for (std::size_t i = 0; i < kChurnCycles; ++i, ++next) {
+    core::Binding binding = KeyedBinding(next);
+    const std::uint64_t start = g_allocs.load(std::memory_order_relaxed);
+    if (!cache.invalidate(Loid{kClassId, next - kChurnLive})) std::abort();
+    cache.put(std::move(binding));
+    allocs += g_allocs.load(std::memory_order_relaxed) - start;
+  }
+  if (cache.size() != kChurnLive) std::abort();
+  out.row({"binding_cache", sim::Table::num(std::uint64_t{kChurnLive}),
+           sim::Table::num(std::uint64_t{kChurnCycles}), PerLive(fill_bytes),
+           PerLive(cache.allocated_bytes()), PerThousand(allocs)});
+}
+
 void Run() {
   sim::Table logical(
       "E16a logical table density (dense ids + segmented rows)",
@@ -155,6 +240,14 @@ void Run() {
   }
   logical.print();
   cache.print();
+
+  sim::Table churn(
+      "E16c churn at constant population (deleted ids recycled)",
+      {"structure", "live", "cycles", "fill_bytes_per_live",
+       "churned_bytes_per_live", "churn_allocs_per_1k"});
+  RunLogicalTableChurn(churn);
+  RunBindingCacheChurn(churn);
+  churn.print();
 }
 
 }  // namespace

@@ -18,8 +18,12 @@ void BindingCache::bind_metrics(obs::Registry& registry) {
 
 std::uint32_t BindingCache::intern_slot(const Loid& loid) {
   const std::uint32_t id = ids_.intern(loid);
-  if (slots_.size() < ids_.size()) slots_.resize(ids_.size());
+  if (slots_.size() < ids_.id_bound()) slots_.resize(ids_.id_bound());
   return id;
+}
+
+void BindingCache::release_if_empty(std::uint32_t id) {
+  if (slots_[id].flags == 0) ids_.erase(id);
 }
 
 void BindingCache::lru_link_front(std::uint32_t id) {
@@ -76,12 +80,14 @@ void BindingCache::drop_positive(std::uint32_t id) {
   slot.flags &= static_cast<std::uint8_t>(~kPositive);
   slot.binding = Binding{};  // release the payload's heap state
   --size_;
+  release_if_empty(id);
 }
 
 void BindingCache::drop_negative(std::uint32_t id) {
   neg_unlink(id);
   slots_[id].flags &= static_cast<std::uint8_t>(~kNegative);
   --negative_size_;
+  release_if_empty(id);
 }
 
 void BindingCache::drop_contents() {
@@ -119,11 +125,13 @@ std::optional<Binding> BindingCache::get(const Loid& loid, SimTime now) {
 void BindingCache::put_negative(const Loid& loid, SimTime expires_at) {
   base::MutexLock lock(mutex_);
   if (capacity_ == 0) return;
-  const std::uint32_t id = intern_slot(loid);
-  if ((slots_[id].flags & kNegative) != 0) {
+  std::uint32_t id = ids_.find(loid);
+  if (id != LoidInterner::kNoId && (slots_[id].flags & kNegative) != 0) {
     slots_[id].neg_expires = expires_at;
     return;
   }
+  // Make room before interning, so the cache never holds more than
+  // 2 x capacity ids. The drops cannot free `id`: it is not negative.
   if (negative_size_ >= capacity_) {
     // Full: drop entries expiring no later than the incoming one; if all
     // survive, sacrifice the oldest — a negative entry only saves a
@@ -135,6 +143,7 @@ void BindingCache::put_negative(const Loid& loid, SimTime expires_at) {
     }
     if (negative_size_ >= capacity_) drop_negative(neg_head_);
   }
+  if (id == LoidInterner::kNoId) id = intern_slot(loid);
   slots_[id].neg_expires = expires_at;
   slots_[id].flags |= kNegative;
   neg_link_back(id);
@@ -157,25 +166,26 @@ bool BindingCache::negative(const Loid& loid, SimTime now) {
 void BindingCache::put(Binding binding) {
   base::MutexLock lock(mutex_);
   if (capacity_ == 0 || !binding.valid()) return;
-  const std::uint32_t id = intern_slot(binding.loid);
-  if ((slots_[id].flags & kNegative) != 0) drop_negative(id);
-  if ((slots_[id].flags & kPositive) != 0) {
-    slots_[id].binding = std::move(binding);
-    if (id != lru_head_) {
-      lru_unlink(id);
-      lru_link_front(id);
+  std::uint32_t id = ids_.find(binding.loid);
+  if (id != LoidInterner::kNoId && (slots_[id].flags & kPositive) != 0) {
+    lru_unlink(id);
+  } else {
+    // Evict before interning, as in put_negative(); the victim is
+    // positive, so it is never `id`.
+    if (size_ >= capacity_) {
+      drop_positive(lru_tail_);
+      ++stats_.evictions;
+      Bump(agg_evictions_);
     }
-    return;
-  }
-  if (size_ >= capacity_) {
-    drop_positive(lru_tail_);
-    ++stats_.evictions;
-    Bump(agg_evictions_);
+    if (id == LoidInterner::kNoId) id = intern_slot(binding.loid);
+    slots_[id].flags |= kPositive;
+    ++size_;
   }
   slots_[id].binding = std::move(binding);
-  slots_[id].flags |= kPositive;
   lru_link_front(id);
-  ++size_;
+  // The real binding supersedes a negative entry. Dropping it only now,
+  // with kPositive already set, keeps the slot's id interned.
+  if ((slots_[id].flags & kNegative) != 0) drop_negative(id);
 }
 
 bool BindingCache::invalidate(const Loid& loid) {
@@ -233,16 +243,23 @@ bool BindingCache::consistent() const {
   }
   if (seen != negative_size_ || neg_tail_ != prev) return false;
 
-  // No flagged slot may be missing from its list, and populations must
-  // respect capacity.
-  std::size_t positives = 0, negatives = 0;
+  // No flagged slot may be missing from its list, every flagged slot's id
+  // must be interned to it, and the interner may hold no other id (the
+  // counts match): a slot keeps its id exactly while it holds an entry.
+  std::size_t positives = 0, negatives = 0, flagged = 0;
   for (std::size_t id = 0; id < slots_.size(); ++id) {
-    if ((slots_[id].flags & kPositive) != 0) ++positives;
-    if ((slots_[id].flags & kNegative) != 0) ++negatives;
+    const std::uint8_t flags = slots_[id].flags;
+    if ((flags & kPositive) != 0) ++positives;
+    if ((flags & kNegative) != 0) ++negatives;
+    if (flags == 0) continue;
+    ++flagged;
+    if (ids_.find(ids_.key_of(static_cast<std::uint32_t>(id))) != id) {
+      return false;
+    }
   }
   if (positives != size_ || negatives != negative_size_) return false;
-  return size_ <= capacity_ && negative_size_ <= capacity_ &&
-         slots_.size() == ids_.size();
+  return flagged == ids_.size() && size_ <= capacity_ &&
+         negative_size_ <= capacity_ && slots_.size() == ids_.id_bound();
 }
 
 }  // namespace legion::core

@@ -5,12 +5,18 @@
 // with TTL awareness backs the first two. Hit/miss/eviction counters feed
 // the Section 5.2.1 experiments directly.
 //
-// Storage layout: every LOID the cache has ever seen is interned once into
-// a dense uint32_t id; all per-entry state (binding, negative-entry expiry,
-// LRU links) lives in one segmented slot array indexed by id. The LRU order
-// is an intrusive doubly-linked list of ids — two uint32_t per entry instead
-// of a std::list<Loid> node — and negative entries form a second intrusive
-// list in insertion order. Steady-state put/get perform no heap allocation.
+// Storage layout: every LOID the cache currently holds an entry for is
+// interned into a dense uint32_t id; all per-entry state (binding,
+// negative-entry expiry, LRU links) lives in one segmented slot array
+// indexed by id. A slot whose last entry goes (eviction, invalidation,
+// expiry) gives its id back for the next LOID, so the slot array is bounded
+// by 2 x capacity (positive plus negative entries), not by the cache's
+// history. The LRU order is an intrusive doubly-linked list of ids — two
+// uint32_t per entry instead of a std::list<Loid> node — and negative
+// entries form a second intrusive list in insertion order. Steady-state
+// put/get perform no heap allocation of their own, also when a put evicts:
+// the recycled id's interned key still owns a public-key buffer, which the
+// new LOID's key is copied into.
 //
 // Thread-safe: every operation takes the internal mutex (including the
 // capacity probe — reset_capacity() may rewrite capacity_ concurrently), so
@@ -103,6 +109,11 @@ class BindingCache {
     base::MutexLock lock(mutex_);
     return ids_.allocated_bytes() + slots_.allocated_bytes();
   }
+  // Slots ever in use at once (ids are recycled): at most 2 x capacity.
+  [[nodiscard]] std::size_t id_bound() const {
+    base::MutexLock lock(mutex_);
+    return ids_.id_bound();
+  }
   void reset_stats() {
     base::MutexLock lock(mutex_);
     stats_ = BindingCacheStats{};
@@ -111,8 +122,9 @@ class BindingCache {
   // True iff the intrusive lists and the slot flags agree exactly: the LRU
   // list links size_ positive slots with intact back-pointers, the negative
   // list links negative_size_ negative slots likewise, no flagged slot is
-  // missing from its list, and both populations respect capacity_. The
-  // eviction/expiry tests assert this after every step.
+  // missing from its list, the interned ids are exactly the flagged slots,
+  // and both populations respect capacity_. The eviction/expiry tests
+  // assert this after every step.
   [[nodiscard]] bool consistent() const;
 
  private:
@@ -120,8 +132,9 @@ class BindingCache {
   static constexpr std::uint8_t kPositive = 1;  // binding + LRU links live
   static constexpr std::uint8_t kNegative = 2;  // neg_expires + neg links live
 
-  // One slot per interned LOID; ids index slots_ directly. Evicted entries
-  // keep their slot (flags cleared) and reuse it on re-insertion.
+  // One slot per interned LOID; ids index slots_ directly. A slot whose
+  // flags drop to 0 releases its id (release_if_empty), and the interner
+  // hands that id to the next new LOID.
   struct Slot {
     Binding binding;
     SimTime neg_expires = 0;
@@ -132,6 +145,7 @@ class BindingCache {
 
   // All of these require mutex_ held (compiler-enforced).
   std::uint32_t intern_slot(const Loid& loid) REQUIRES(mutex_);
+  void release_if_empty(std::uint32_t id) REQUIRES(mutex_);
   void lru_link_front(std::uint32_t id) REQUIRES(mutex_);
   void lru_unlink(std::uint32_t id) REQUIRES(mutex_);
   void neg_link_back(std::uint32_t id) REQUIRES(mutex_);

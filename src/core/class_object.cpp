@@ -392,8 +392,10 @@ Status ClassObjectImpl::Delete(ObjectContext& ctx, const Loid& target) {
     return NotFoundError("not an instance or subclass of " + def_.name);
   }
   // "Both Active and Inert copies of the object are removed" (Section 3.8).
+  // A copy: the nested calls are served re-entrantly and may erase the row.
+  const std::vector<Loid> magistrates = row->current_magistrates;
   Status last = OkStatus();
-  for (const Loid& magistrate : row->current_magistrates) {
+  for (const Loid& magistrate : magistrates) {
     wire::LoidRequest req{target};
     auto raw = ctx.ref(magistrate).call(methods::kDelete, req.to_buffer());
     if (!raw.ok() && raw.status().code() != StatusCode::kNotFound) {
@@ -429,9 +431,13 @@ Result<Binding> ClassObjectImpl::GetBinding(ObjectContext& ctx,
   // Object Address is NIL: consult the Current Magistrate List. "Thus,
   // referring to the LOID of an Inert object can cause the object to be
   // activated" (Section 4.1.2).
+  // The Activate calls are served re-entrantly: the row may be erased, and
+  // its slot recycled for another LOID, before a reply arrives. Work from
+  // copies and find() the row again before writing it.
+  const wire::ActivateRequest activate{row->loid, Loid{}};
+  const std::vector<Loid> magistrates = row->current_magistrates;
   Status last = UnavailableError("object has no magistrate");
-  for (const Loid& magistrate : row->current_magistrates) {
-    wire::ActivateRequest activate{row->loid, Loid{}};
+  for (const Loid& magistrate : magistrates) {
     auto raw = ctx.ref(magistrate).call(methods::kActivate, activate.to_buffer());
     if (!raw.ok()) {
       last = raw.status();
@@ -442,10 +448,12 @@ Result<Binding> ClassObjectImpl::GetBinding(ObjectContext& ctx,
       last = reply.status();
       continue;
     }
-    row->address = reply->binding.address;
-    row->placed_host = reply->host;
-    row->checkpoint_disk = reply->checkpoint_disk;
-    row->checkpoint_path = reply->checkpoint_path;
+    if (TableRow* live = table_.find(activate.loid)) {
+      live->address = reply->binding.address;
+      live->placed_host = reply->host;
+      live->checkpoint_disk = reply->checkpoint_disk;
+      live->checkpoint_path = reply->checkpoint_path;
+    }
     return reply->binding;
   }
   return last;
@@ -526,6 +534,9 @@ Status ClassObjectImpl::MoveInstance(ObjectContext& ctx, const Loid& target,
   LEGION_ASSIGN_OR_RETURN(Buffer raw,
                           ctx.ref(src).call(methods::kMove, req.to_buffer()));
   (void)raw;
+  // Found again: the Move call is served re-entrantly (see GetBinding).
+  row = table_.find(target);
+  if (row == nullptr) return OkStatus();  // deleted meanwhile
   row->current_magistrates = {dest_magistrate};
   row->address = ObjectAddress{};  // inert at the destination
   row->clear_placement();          // next activation records a new host
@@ -563,11 +574,15 @@ void ClassObjectImpl::release_fences(ObjectContext& ctx, const Loid& host,
   }
 }
 
-Status ClassObjectImpl::ReactivateInstance(ObjectContext& ctx, TableRow& row,
+Status ClassObjectImpl::ReactivateInstance(ObjectContext& ctx,
+                                           const TableRow& found,
                                            const Loid& dead_host) {
-  if (row.current_magistrates.empty()) {
+  if (found.current_magistrates.empty()) {
     return FailedPreconditionError("object has no current magistrate");
   }
+  // The calls below are served re-entrantly (see GetBinding): copy the row
+  // and find() it again before writing it.
+  const TableRow row = found;
   const Binding stale{row.loid, row.address, kSimTimeNever};
 
   // Ask the Scheduling Agent as on creation, but drop a suggestion that
@@ -598,10 +613,12 @@ Status ClassObjectImpl::ReactivateInstance(ObjectContext& ctx, TableRow& row,
       last = reply.status();
       continue;
     }
-    row.address = reply->binding.address;
-    row.placed_host = reply->host;
-    row.checkpoint_disk = reply->checkpoint_disk;
-    row.checkpoint_path = reply->checkpoint_path;
+    if (TableRow* live = table_.find(row.loid)) {
+      live->address = reply->binding.address;
+      live->placed_host = reply->host;
+      live->checkpoint_disk = reply->checkpoint_disk;
+      live->checkpoint_path = reply->checkpoint_path;
+    }
 
     // Section 4.1.4's fan-out: invalidate the dead binding at the Binding
     // Agent *before* publishing the replacement, so no interleaved lookup

@@ -135,7 +135,7 @@ class ClassObjectImpl : public ObjectImpl {
   // once; hosts that miss `suspect_threshold` consecutive sweeps get their
   // instances reactivated elsewhere from the magistrate's checkpoint.
   Result<wire::SweepReply> SweepInstances(ObjectContext& ctx);
-  Status ReactivateInstance(ObjectContext& ctx, TableRow& row,
+  Status ReactivateInstance(ObjectContext& ctx, const TableRow& found,
                             const Loid& dead_host);
   // Process-isolation leg of the sweep: a live host is asked which of the
   // listed placed instances still run (a worker process can die alone);

@@ -7,13 +7,18 @@
 // magistrates, binding agents) that "contact their class" on startup
 // (Section 4.2.1).
 //
-// Storage layout: LOIDs are interned to dense uint32_t ids in insertion
-// order; rows live in one segmented slot array indexed by id (no per-row
-// heap node), with a parallel liveness column so erase() keeps the id
-// stable for later re-insertion. find() returns pointers directly into the
-// segments — stable for the table's lifetime, since segments never move.
-// Iteration (loids(), Serialize()) walks ids in order, so probe sequences
-// and serialized bytes are deterministic, not unordered_map artifacts.
+// Storage layout: LOIDs are interned to dense uint32_t ids; rows live in
+// one segmented slot array indexed by id (no per-row heap node), with a
+// parallel liveness column. erase() gives the row's id back to the
+// interner, which hands it to the next new LOID, so the table's storage is
+// bounded by its peak live population, not by every object it ever created.
+// find() returns pointers directly into the segments — segments never
+// move, but a pointer is only good until its row is erased: the slot may
+// then hold another LOID's row. A handler that makes a nested call (during
+// which re-entrant service may erase rows) must find() its row again
+// afterwards. Iteration (loids(), Serialize()) walks ids in order, so probe
+// sequences and serialized bytes are deterministic functions of the
+// upsert/erase history, not unordered_map artifacts.
 //
 // Externally synchronized — deliberately lock-free. A logical table is
 // owned by exactly one class object, and every mutation or read happens in
@@ -61,7 +66,9 @@ struct CandidateMagistrates {
   }
   static CandidateMagistrates Deserialize(Reader& r) {
     CandidateMagistrates c;
-    c.mode = static_cast<Mode>(r.u8());
+    const std::uint8_t mode = r.u8();
+    if (mode > static_cast<std::uint8_t>(Mode::kExplicit)) r.mark_failed();
+    c.mode = static_cast<Mode>(mode);
     c.magistrates = ReadVector<Loid>(r);
     return c;
   }
@@ -102,7 +109,9 @@ struct TableRow {
   static TableRow Deserialize(Reader& r) {
     TableRow row;
     row.loid = Loid::Deserialize(r);
-    row.kind = static_cast<RowKind>(r.u8());
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(RowKind::kRegistered)) r.mark_failed();
+    row.kind = static_cast<RowKind>(kind);
     row.address = ObjectAddress::Deserialize(r);
     row.current_magistrates = ReadVector<Loid>(r);
     row.scheduling_agent = Loid::Deserialize(r);
@@ -118,43 +127,41 @@ class LogicalTable {
  public:
   void upsert(TableRow row) {
     const std::uint32_t id = ids_.intern(row.loid);
-    if (rows_.size() < ids_.size()) {
-      rows_.resize(ids_.size());
-      live_.resize(ids_.size());
+    if (rows_.size() < ids_.id_bound()) {
+      rows_.resize(ids_.id_bound());
+      live_.resize(ids_.id_bound());
     }
     rows_[id] = std::move(row);
-    if (live_[id] == 0) {
-      live_[id] = 1;
-      ++size_;
-    }
+    live_[id] = 1;
   }
 
   bool erase(const Loid& loid) {
     const std::uint32_t id = ids_.find(loid);
-    if (id == LoidInterner::kNoId || live_[id] == 0) return false;
+    if (id == LoidInterner::kNoId) return false;
     live_[id] = 0;
-    rows_[id] = TableRow{};  // release the row's heap state; id stays valid
-    --size_;
+    rows_[id] = TableRow{};  // release the row's heap state
+    ids_.erase(id);          // and the id, for the next new LOID
     return true;
   }
 
   [[nodiscard]] TableRow* find(const Loid& loid) {
     const std::uint32_t id = ids_.find(loid);
-    return id == LoidInterner::kNoId || live_[id] == 0 ? nullptr : &rows_[id];
+    return id == LoidInterner::kNoId ? nullptr : &rows_[id];
   }
   [[nodiscard]] const TableRow* find(const Loid& loid) const {
     const std::uint32_t id = ids_.find(loid);
-    return id == LoidInterner::kNoId || live_[id] == 0 ? nullptr : &rows_[id];
+    return id == LoidInterner::kNoId ? nullptr : &rows_[id];
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
 
-  // Live LOIDs in first-insertion order — deterministic, so SweepInstances
-  // probe order and sim traces replay identically run to run.
+  // Live LOIDs in id order — deterministic, so SweepInstances probe order
+  // and sim traces replay identically run to run. The walk covers ids up to
+  // the peak live population, not every LOID the table ever held.
   [[nodiscard]] std::vector<Loid> loids(
       std::optional<RowKind> kind = std::nullopt) const {
     std::vector<Loid> out;
-    out.reserve(size_);
+    out.reserve(ids_.size());
     for (std::size_t id = 0; id < rows_.size(); ++id) {
       if (live_[id] == 0) continue;
       if (!kind || rows_[id].kind == *kind) out.push_back(rows_[id].loid);
@@ -169,7 +176,7 @@ class LogicalTable {
   }
 
   void Serialize(Writer& w) const {
-    w.u32(static_cast<std::uint32_t>(size_));
+    w.u32(static_cast<std::uint32_t>(ids_.size()));
     for (std::size_t id = 0; id < rows_.size(); ++id) {
       if (live_[id] != 0) rows_[id].Serialize(w);
     }
@@ -191,10 +198,11 @@ class LogicalTable {
   }
 
  private:
+  // An id is interned exactly while its row is live; live_ marks the same
+  // thing per slot, for the id-order walks that must skip freed ids.
   LoidInterner ids_;
   SegmentedVector<TableRow> rows_;       // one slot per id
   SegmentedVector<std::uint8_t> live_;   // 1 == row present
-  std::size_t size_ = 0;                 // live rows
 };
 
 }  // namespace legion::core

@@ -242,6 +242,56 @@ TEST(BindingCacheTest, ConcurrentPutsRacingResetCapacityStayConsistent) {
   EXPECT_LE(cache.negative_size(), 16u);
 }
 
+TEST(BindingCacheTest, IdBoundStaysWithinTwiceCapacityUnderLoidStream) {
+  // 10^5 distinct LOIDs pass through a 64-entry cache as positives, every
+  // third one also leaving a negative entry and every fifth invalidated:
+  // entries that die give their ids back, so the slot array is bounded by
+  // the capacity (positives plus negatives), not by the LOIDs ever seen.
+  constexpr std::size_t kCapacity = 64;
+  BindingCache cache(kCapacity);
+  std::size_t warm_bytes = 0;
+  for (std::uint64_t n = 1; n <= 100'000; ++n) {
+    cache.put(MakeBinding(n));
+    if (n % 3 == 0) cache.put_negative(Loid{200, n}, /*expires_at=*/n + 50);
+    if (n % 5 == 0) (void)cache.invalidate(Loid{100, n - 1});
+    if (n % 7 == 0) (void)cache.negative(Loid{200, n - 60}, /*now=*/n);
+    if (n == 1000) warm_bytes = cache.allocated_bytes();
+    if (n % 1000 == 0) {
+      ASSERT_TRUE(cache.consistent()) << "after " << n;
+    }
+  }
+  EXPECT_LE(cache.id_bound(), 2 * kCapacity);
+  EXPECT_EQ(cache.allocated_bytes(), warm_bytes);
+  EXPECT_TRUE(cache.get(Loid{100, 100'000}, 0).has_value());
+  EXPECT_FALSE(cache.get(Loid{100, 1}, 0).has_value());
+}
+
+TEST(BindingCacheTest, PutOverNegativeKeepsItsId) {
+  // put() installs the positive entry before dropping the negative one, so
+  // the slot never loses its id in between — even when the put also
+  // evicts, which frees (and could hand out) another id.
+  BindingCache cache(1);
+  cache.put(MakeBinding(1));
+  cache.put_negative(Loid{100, 2}, /*expires_at=*/1000);
+  ASSERT_TRUE(cache.consistent());
+  cache.put(MakeBinding(2));  // evicts 1, supersedes 2's negative entry
+  EXPECT_TRUE(cache.consistent());
+  EXPECT_FALSE(cache.negative(Loid{100, 2}, 0));
+  EXPECT_EQ(cache.negative_size(), 0u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+
+  // Interning new LOIDs now must not reuse 2's id under it.
+  cache.put_negative(Loid{100, 3}, /*expires_at=*/1000);
+  cache.put_negative(Loid{100, 4}, /*expires_at=*/1000);  // drops 3
+  EXPECT_TRUE(cache.consistent());
+  const auto hit = cache.get(Loid{100, 2}, 0);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(*hit == MakeBinding(2));
+  EXPECT_TRUE(cache.negative(Loid{100, 4}, 0));
+  EXPECT_LE(cache.id_bound(), 2u);
+}
+
 // A naive reference model of the cache's contract, mirrored operation by
 // operation: entries as a map plus an explicit most-recent-first LRU
 // sequence, negatives as a map plus insertion order. The property test
@@ -435,6 +485,7 @@ TEST(BindingCachePropertyTest, RandomizedOpsMatchReferenceModel) {
       ASSERT_EQ(cache.negative_size(), ref.negatives.size()) << "step " << step;
       ASSERT_LE(cache.negative_size(), std::max<std::size_t>(ref.capacity, 0))
           << "step " << step;
+      ASSERT_LE(cache.id_bound(), 2 * ref.capacity) << "step " << step;
     }
     // Final sweep: every LOID in the universe agrees on both polarities.
     for (std::uint64_t n = 1; n <= kUniverse; ++n) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <vector>
 
+#include "base/rng.hpp"
 #include "core/class_object.hpp"
 
 namespace legion::core {
@@ -73,8 +75,9 @@ TEST(LogicalTableTest, LoidsAreInsertionOrderedAndDeterministic) {
   for (const std::uint64_t n : scrambled) expected.emplace_back(9, n);
   EXPECT_EQ(t.loids(), expected);
 
-  // Erase + re-insert moves the LOID nowhere: its id (insertion slot) is
-  // stable, so replay order survives row churn.
+  // Erase + immediate re-insert moves the LOID nowhere: it takes back the
+  // id it just freed (reuse is last-freed-first), so replay order survives
+  // row churn.
   t.erase(Loid{9, 7});
   t.upsert(MakeRow(7, RowKind::kSubclass));
   EXPECT_EQ(t.loids(), expected);
@@ -135,6 +138,117 @@ TEST(LogicalTableTest, HostileRowCountFailsInsteadOfTruncating) {
   LogicalTable t = LogicalTable::Deserialize(r);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(LogicalTableTest, OutOfRangeEnumBytesFailTheReader) {
+  // Untrusted bytes never become an invalid RowKind or Mode.
+  // The kind byte follows the LOID: patch it in a serialized row.
+  auto row_with_kind = [](std::uint8_t kind) {
+    Buffer loid_bytes, row_bytes;
+    Writer lw(loid_bytes), rw(row_bytes);
+    Loid{9, 1}.Serialize(lw);
+    MakeRow(1).Serialize(rw);
+    std::vector<std::uint8_t> bytes(row_bytes.span().begin(),
+                                    row_bytes.span().end());
+    bytes[loid_bytes.span().size()] = kind;
+    return bytes;
+  };
+  const std::vector<std::uint8_t> good_row = row_with_kind(2);
+  Reader good{std::span<const std::uint8_t>(good_row)};
+  EXPECT_EQ(TableRow::Deserialize(good).kind, RowKind::kRegistered);
+  EXPECT_TRUE(good.ok());
+  const std::vector<std::uint8_t> bad_row = row_with_kind(3);
+  Reader bad{std::span<const std::uint8_t>(bad_row)};
+  (void)TableRow::Deserialize(bad);
+  EXPECT_FALSE(bad.ok());
+
+  auto candidates_with_mode = [](std::uint8_t mode) {
+    Buffer bytes;
+    Writer w(bytes);
+    w.u8(mode);
+    WriteVector(w, std::vector<Loid>{Loid{3, 1}});
+    return bytes;
+  };
+  const Buffer good_mode = candidates_with_mode(1);
+  Reader good_c(good_mode);
+  EXPECT_EQ(CandidateMagistrates::Deserialize(good_c).mode,
+            CandidateMagistrates::Mode::kExplicit);
+  EXPECT_TRUE(good_c.ok());
+  const Buffer bad_mode = candidates_with_mode(2);
+  Reader bad_c(bad_mode);
+  (void)CandidateMagistrates::Deserialize(bad_c);
+  EXPECT_FALSE(bad_c.ok());
+}
+
+TEST(LogicalTableTest, ErasedIdGoesToTheNextNewLoid) {
+  // loids() is id order: a new LOID takes the most recently erased id, and
+  // with it that row's place in the walk.
+  LogicalTable t;
+  for (std::uint64_t n = 1; n <= 4; ++n) t.upsert(MakeRow(n));
+  EXPECT_TRUE(t.erase(Loid{9, 2}));
+  t.upsert(MakeRow(50));
+  EXPECT_EQ(t.loids(), (std::vector<Loid>{Loid{9, 1}, Loid{9, 50}, Loid{9, 3},
+                                          Loid{9, 4}}));
+  EXPECT_EQ(t.find(Loid{9, 2}), nullptr);
+  ASSERT_NE(t.find(Loid{9, 50}), nullptr);
+  EXPECT_EQ(t.find(Loid{9, 50})->checkpoint_path, "vault/50");
+}
+
+TEST(LogicalTableTest, ChurnKeepsAllocatedBytesFlat) {
+  // A constant live population under create/delete churn: every new row
+  // reuses an erased row's id and slot, so once the first cycles have
+  // sized the interner's free list the table stops growing.
+  LogicalTable t;
+  std::deque<std::uint64_t> fifo;
+  std::uint64_t next = 1;
+  for (; next <= 1000; ++next) {
+    t.upsert(MakeRow(next));
+    fifo.push_back(next);
+  }
+  auto churn = [&](int cycles) {
+    for (int cycle = 0; cycle < cycles; ++cycle, ++next) {
+      ASSERT_TRUE(t.erase(Loid{9, fifo.front()}));
+      fifo.pop_front();
+      t.upsert(MakeRow(next));
+      fifo.push_back(next);
+    }
+  };
+  churn(1000);
+  const std::size_t steady = t.allocated_bytes();
+  churn(50'000);
+  EXPECT_EQ(t.allocated_bytes(), steady);
+  EXPECT_EQ(t.size(), 1000u);
+  EXPECT_EQ(t.loids().size(), 1000u);
+}
+
+TEST(LogicalTableTest, ReplaysOfOneHistoryAreIdentical) {
+  // loids() and Serialize() are functions of the upsert/erase history: two
+  // tables fed the same seeded history agree byte for byte.
+  auto replay = [] {
+    LogicalTable t;
+    Rng rng(1996);
+    for (int step = 0; step < 5000; ++step) {
+      const std::uint64_t n = 1 + rng.below(400);
+      if (rng.chance(0.6)) {
+        t.upsert(MakeRow(n, static_cast<RowKind>(n % 3)));
+      } else {
+        (void)t.erase(Loid{9, n});
+      }
+    }
+    return t;
+  };
+  const LogicalTable a = replay();
+  const LogicalTable b = replay();
+  EXPECT_EQ(a.loids(), b.loids());
+  EXPECT_EQ(a.loids(RowKind::kSubclass), b.loids(RowKind::kSubclass));
+  Buffer bytes_a, bytes_b;
+  Writer wa(bytes_a), wb(bytes_b);
+  a.Serialize(wa);
+  b.Serialize(wb);
+  ASSERT_EQ(bytes_a.span().size(), bytes_b.span().size());
+  EXPECT_TRUE(std::equal(bytes_a.span().begin(), bytes_a.span().end(),
+                         bytes_b.span().begin()));
+  EXPECT_GT(a.size(), 0u);
 }
 
 class ClassStateRestoreTest : public ::testing::Test {
